@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from swaykin import pose
 from swaykin.camera import RigidTransform
 
 logger = logging.getLogger(__name__)
@@ -70,6 +71,17 @@ def to_anatomical(frame: AnatomicalFrame, z: np.ndarray) -> np.ndarray:
 def anatomical_from_board(board_xyz: np.ndarray) -> np.ndarray:
     """Reorder board-frame coordinates (..., 3) into (AP, ML, SI) columns."""
     return np.asarray(board_xyz, dtype=float)[..., list(BOARD_TO_ANATOMICAL)]
+
+
+def sway_from_poses(
+    theta: np.ndarray, offset: np.ndarray | None, frame: AnatomicalFrame
+) -> np.ndarray:
+    """(AP, ML, SI) sway (n, 3) of a target-frame point under poses theta
+    (n, 6): the point ``offset`` (mm), or the target origin when None, is
+    carried into the camera frame by each pose, then into ``frame``."""
+    th = np.asarray(theta, dtype=float).reshape(-1, 6)
+    d = np.zeros(3) if offset is None else np.asarray(offset, dtype=float).reshape(3)
+    return anatomical_from_board(to_anatomical(frame, pose._rotation(th[:, :3]) @ d + th[:, 3:]))
 
 
 @dataclass(frozen=True)

@@ -265,9 +265,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         obs = synth.render_observations(theta, model, intr, tnoise)
         fileio.save_features_csv(out / f"features_{name}.csv", obs)
 
-        delta = model.virtual_offset if model.virtual_offset is not None else np.zeros(3)
-        pts = np.stack([target.virtual_point(pose.KinematicParams.from_array(row), delta) for row in theta])
-        sway = anatomy.anatomical_from_board(anatomy.to_anatomical(frame, pts))
+        sway = anatomy.sway_from_poses(theta, model.virtual_offset, frame)
         truth = anatomy.SwayTrajectory(
             sample_rate_hz=profile.rate_hz,
             label=name,
@@ -309,19 +307,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _ingest_features_csv(path: Path, intr: camera.CameraIntrinsics) -> list[list[features.FeatureObservation]]:
     frames = _load_data(fileio.load_features_csv, path, "features")
-    if not intr.has_distortion:
+    if not intr.has_distortion or not any(frames):
         return frames
-    out = []
-    for obs_list in frames:
-        out.append(
-            [
-                features.FeatureObservation(
-                    camera.undistort_point(intr, obs.position), obs.score, obs.model_index
-                )
-                for obs in obs_list
-            ]
-        )
-    return out
+    # The whole recording in one call, handed back frame by frame.
+    ideal = iter(camera.undistort_point(intr, np.stack([o.position for obs in frames for o in obs])))
+    return [
+        [features.FeatureObservation(next(ideal), o.score, o.model_index) for o in obs]
+        for obs in frames
+    ]
 
 
 def _match_gate(predictions: np.ndarray) -> float:
@@ -385,15 +378,10 @@ def _trajectory_from_track(
     frame: anatomy.AnatomicalFrame,
     segment: str,
 ) -> anatomy.SwayTrajectory:
-    delta = model.virtual_offset if model.virtual_offset is not None else np.zeros(3)
+    valid = np.array([rep is not None for rep in track.reports], dtype=bool)
+    theta = np.array([rep.theta.as_array() for rep in track.reports if rep is not None])
     samples = np.zeros((track.n_frames, 3))
-    valid = np.zeros(track.n_frames, dtype=bool)
-    for i, rep in enumerate(track.reports):
-        if rep is None:
-            continue
-        p = target.virtual_point(rep.theta, delta)
-        samples[i] = anatomy.anatomical_from_board(anatomy.to_anatomical(frame, p))
-        valid[i] = True
+    samples[valid] = anatomy.sway_from_poses(theta, model.virtual_offset, frame)
     return anatomy.SwayTrajectory(
         sample_rate_hz=track.rate_hz, label=segment, samples=samples, valid=valid
     )
@@ -467,13 +455,13 @@ def cmd_track(args: argparse.Namespace) -> int:
             raise ConfigError(f"segment '{seg}' has neither a features CSV nor a frames directory")
 
         track = pose.track_sequence(obs_frames, model, intr, rate_hz=rate)
-        fileio.save_pose_track_csv(out / f"pose_{seg}.csv", track)
-
         raw = _trajectory_from_track(track, model, frame, seg)
-        fileio.save_trajectory_csv(out / f"trajectory_raw_{seg}.csv", raw)
         traj = anatomy.interpolate_gaps(raw, max_gap)
         if filt is not None:
             traj = anatomy.savitzky_golay(traj, window_sec=window_sec, order=order)
+        # Written only once all three are computed: a failed segment leaves none.
+        fileio.save_pose_track_csv(out / f"pose_{seg}.csv", track)
+        fileio.save_trajectory_csv(out / f"trajectory_raw_{seg}.csv", raw)
         fileio.save_trajectory_csv(out / f"trajectory_{seg}.csv", traj)
 
         fitted = sum(1 for s in track.statuses if s == "fitted")

@@ -3,8 +3,8 @@
 The kinematic state is six parameters: three Z-Y-X Euler angles (radians)
 followed by three camera-frame translations (millimeters). Each frame is
 fitted by a damped Levenberg-Marquardt loop on its reprojection residuals,
-using numeric central-difference Jacobians, warm-started from the previous
-frame. :func:`track_sequence` then smooths the whole run with an iterated
+using their closed-form Jacobian, warm-started from the previous frame.
+:func:`track_sequence` then smooths the whole run with an iterated
 Rauch-Tung-Striebel smoother under a white-jerk prior on each parameter, so
 the poses it reports use every frame's information, not only their own.
 """
@@ -28,9 +28,17 @@ logger = logging.getLogger(__name__)
 
 GIMBAL_MARGIN = 1e-6
 MIN_OBSERVATIONS = 4
-# fit_pose has converged once an accepted step lowers the cost by at most
-# this fraction of its value.
+# fit_pose's stopping rules (see its docstring): relative cost decrease,
+# scaled step and scaled gradient.
 _COST_TOL = 1e-6
+_STEP_TOL = 1e-10
+_GRADIENT_TOL = 1e-4
+# Levenberg-Marquardt damping: its start, and the factor by which a refused
+# step raises it and an accepted one lowers it.
+_INIT_LAMBDA = 1e-3
+_LAMBDA_FACTOR = 10.0
+# Depth of the frontal prior from which non-planar targets are initialized.
+_NOMINAL_DEPTH_MM = 1000.0
 
 
 class GimbalLockError(ValueError):
@@ -120,35 +128,6 @@ def euler_from_rotation(R: np.ndarray) -> tuple[float, float, float]:
 
 
 @dataclass(frozen=True)
-class FitConfig:
-    """Levenberg-Marquardt settings for :func:`fit_pose`.
-
-    The stopping tolerances are relative, so one value serves radians and
-    millimeters alike (Madsen, Nielsen & Tingleff, *Methods for Non-Linear
-    Least Squares Problems*, 2004). With D the Jacobian's column norms
-    (pixels per unit of each parameter), a fit has converged when
-
-    - an accepted step lowers the cost by at most 1e-6 of its value;
-    - the proposed step h has ||D h|| <= step_tol * (||D theta|| + step_tol),
-      unless the last larger step was refused by the gimbal guard or for
-      putting a feature behind the camera: a constraint, not a minimum,
-      then holds the fit, and it ends unconverged;
-    - the scaled gradient, the largest cosine between the residual vector
-      and a Jacobian column, is at most ``gradient_tol``.
-    """
-
-    max_iterations: int = 100
-    step_tol: float = 1e-10
-    gradient_tol: float = 1e-4
-    angle_step: float = 1e-6  # central-difference step, radians
-    translation_step: float = 1e-4  # central-difference step, mm
-    init_lambda: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 10.0
-    nominal_depth_mm: float = 1000.0
-
-
-@dataclass(frozen=True)
 class FitReport:
     """A frame's pose and how well it explains the frame's observations.
 
@@ -156,7 +135,7 @@ class FitReport:
     a covariance proxy per px^2 of noise variance) and ``degenerate`` (J has
     rank < 6) are evaluated at ``theta``. ``iterations`` counts the frame's
     Levenberg-Marquardt iterations, and ``converged`` is True exactly when one
-    of the :class:`FitConfig` stopping rules fired. A smoothed track keeps
+    of :func:`fit_pose`'s stopping rules fired. A smoothed track keeps
     both from the frame's own fit: it only carries smoothed poses once the
     smoother has settled.
     """
@@ -228,20 +207,37 @@ def reprojection_residuals(
     return _residuals_array(theta.as_array(), model.points[idx], pts, intrinsics)
 
 
-def _numeric_jacobian(
-    th: np.ndarray,
-    points: np.ndarray,
-    obs_uv: np.ndarray,
-    intrinsics: camera.CameraIntrinsics,
-    config: FitConfig,
+def _jacobian(
+    th: np.ndarray, points: np.ndarray, obs_uv: np.ndarray, intrinsics: camera.CameraIntrinsics
 ) -> np.ndarray:
-    """Central-difference Jacobian (..., 2m, 6) of :func:`_residuals_array`."""
-    h = np.array([config.angle_step] * 3 + [config.translation_step] * 3)
-    th = np.asarray(th, dtype=float)[..., None, :]
-    points, obs_uv = points[..., None, :, :], obs_uv[..., None, :, :]
-    r_plus = _residuals_array(th + np.diag(h), points, obs_uv, intrinsics)
-    r_minus = _residuals_array(th - np.diag(h), points, obs_uv, intrinsics)
-    return np.swapaxes((r_plus - r_minus) / (2.0 * h[:, None]), -1, -2)
+    """Closed-form Jacobian (..., 2m, 6) of :func:`_residuals_array`, which
+    takes the same arguments; the observations do not enter it.
+
+    For Z-Y-X Euler angles d(R p)/d theta_k = w_k x (R p), with w_1 = e_z,
+    w_2 = Rz e_y and w_3 = Rz Ry e_x, the first column of R; the translation
+    enters the camera-frame point with the identity. Both go through the
+    pinhole map and the upper 2x2 block of K.
+    """
+    R = _rotation(th[..., :3])
+    q = points @ np.swapaxes(R, -1, -2)
+    pc = q + th[..., None, 3:]
+    # The axes w_k, one per row, broadcast over the points.
+    w = np.zeros(R.shape[:-2] + (1, 3, 3))
+    w[..., 0, 2] = 1.0
+    w[..., 1, 0] = -np.sin(th[..., None, 0])
+    w[..., 1, 1] = np.cos(th[..., None, 0])
+    w[..., 2, :] = R[..., None, :, 0]
+    # d pc / d theta, (..., m, 6, 3): one row per parameter.
+    dpc = np.empty(pc.shape[:-1] + (6, 3))
+    q = q[..., None, :]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        dpc[..., :3, i] = w[..., j] * q[..., k] - w[..., k] * q[..., j]
+    dpc[..., 3:, :] = np.eye(3)
+    z = pc[..., None, 2:]
+    dn = (dpc[..., :2] - pc[..., None, :2] / z * dpc[..., 2:]) / z
+    K = np.array([[intrinsics.fx, intrinsics.skew], [0.0, intrinsics.fy]])
+    J = np.swapaxes(dn @ K.T, -1, -2)
+    return J.reshape(J.shape[:-3] + (-1, 6))
 
 
 def _covariance_proxy(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,12 +248,12 @@ def _covariance_proxy(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cov.copy(), degenerate
 
 
-def _gradient_settled(J: np.ndarray, r: np.ndarray, cost: float, tol: float) -> bool:
+def _gradient_settled(J: np.ndarray, r: np.ndarray, cost: float) -> bool:
     if cost == 0.0:
         return True
     scale = np.linalg.norm(J, axis=0)
     cosines = np.abs(J.T @ r)[scale > 0] / (scale[scale > 0] * math.sqrt(cost))
-    return bool(np.all(cosines <= tol))
+    return bool(np.all(cosines <= _GRADIENT_TOL))
 
 
 def fit_pose(
@@ -265,17 +261,29 @@ def fit_pose(
     model: "GeometricTargetModel",
     obs: Sequence[FeatureObservation],
     intrinsics: camera.CameraIntrinsics,
-    config: FitConfig = FitConfig(),
+    *,
+    max_iterations: int = 100,
 ) -> FitReport:
     """Levenberg-Marquardt fit of the kinematic parameters to observations.
 
-    Damping starts at ``init_lambda``, divides by ``lambda_down`` on accepted
-    steps and multiplies by ``lambda_up`` on rejected ones. The fit stops
-    converged when one of the :class:`FitConfig` rules fires (relative cost
-    decrease, scaled step, scaled gradient), and unconverged after
-    ``max_iterations`` or when no damping yields a lower cost. The report
-    flags ``degenerate`` when the final Jacobian has rank < 6, and carries
-    diag((J^T J)^-1) as a covariance proxy.
+    Damping starts at 1e-3, falls tenfold on an accepted step and rises
+    tenfold on a refused one. The stopping rules are relative, so one value
+    serves radians and millimeters alike (Madsen, Nielsen & Tingleff,
+    *Methods for Non-Linear Least Squares Problems*, 2004). With D the
+    Jacobian's column norms (pixels per unit of each parameter), the fit has
+    converged when
+
+    - an accepted step lowers the cost by at most 1e-6 of its value;
+    - the proposed step h has ||D h|| <= 1e-10 (||D theta|| + 1e-10), unless
+      the last larger step was refused by the gimbal guard or for putting a
+      feature behind the camera: a constraint, not a minimum, then holds the
+      fit, and it ends unconverged;
+    - the scaled gradient, the largest cosine between the residual vector
+      and a Jacobian column, is at most 1e-4.
+
+    It stops unconverged after ``max_iterations`` or when no damping yields
+    a lower cost. The report flags ``degenerate`` when the final Jacobian has
+    rank < 6, and carries diag((J^T J)^-1) as a covariance proxy.
     """
     if len(obs) < MIN_OBSERVATIONS:
         raise InsufficientCorrespondenceError(
@@ -290,17 +298,17 @@ def fit_pose(
     if not math.isfinite(cost):
         raise ValueError("objective is not finite at the initial parameters")
 
-    lam = config.init_lambda
+    lam = _INIT_LAMBDA
     converged = False
     iterations = 0
-    J = _numeric_jacobian(th, points, obs_uv, intrinsics, config)
-    while iterations < config.max_iterations:
-        if _gradient_settled(J, r, cost, config.gradient_tol):
+    J = _jacobian(th, points, obs_uv, intrinsics)
+    while iterations < max_iterations:
+        if _gradient_settled(J, r, cost):
             converged = True
             break
         iterations += 1
         scale = np.linalg.norm(J, axis=0)
-        step_bound = config.step_tol * (np.linalg.norm(scale * th) + config.step_tol)
+        step_bound = _STEP_TOL * (np.linalg.norm(scale * th) + _STEP_TOL)
         g = J.T @ r
         JtJ = J.T @ J
         accepted = False
@@ -311,7 +319,7 @@ def fit_pose(
             try:
                 step = np.linalg.solve(JtJ + lam * np.eye(6), -g)
             except np.linalg.LinAlgError:
-                lam *= config.lambda_up
+                lam *= _LAMBDA_FACTOR
                 continue
             if np.linalg.norm(scale * step) <= step_bound:
                 converged = not blocked
@@ -320,13 +328,13 @@ def fit_pose(
             if abs(cand[1]) >= math.pi / 2 - GIMBAL_MARGIN:
                 # Reject steps that cross the gimbal guard; more damping
                 # shortens the step until it stays inside.
-                lam *= config.lambda_up
+                lam *= _LAMBDA_FACTOR
                 blocked = True
                 continue
             try:
                 r_new = _residuals_array(cand, points, obs_uv, intrinsics)
             except camera.BehindCameraError:
-                lam *= config.lambda_up
+                lam *= _LAMBDA_FACTOR
                 blocked = True
                 continue
             cost_new = float(r_new @ r_new)
@@ -336,13 +344,13 @@ def fit_pose(
             if cost_new < cost:
                 converged = cost - cost_new <= _COST_TOL * cost
                 th, r, cost = cand, r_new, cost_new
-                lam /= config.lambda_down
+                lam /= _LAMBDA_FACTOR
                 accepted = True
                 break
-            lam *= config.lambda_up
+            lam *= _LAMBDA_FACTOR
         if not accepted:
             break
-        J = _numeric_jacobian(th, points, obs_uv, intrinsics, config)
+        J = _jacobian(th, points, obs_uv, intrinsics)
         if converged:
             break
 
@@ -364,7 +372,6 @@ def initialize_first_frame(
     model: "GeometricTargetModel",
     obs: Sequence[FeatureObservation],
     intrinsics: camera.CameraIntrinsics,
-    config: FitConfig = FitConfig(),
 ) -> KinematicParams:
     """Closed-form pose initialization for a frame with no prior.
 
@@ -392,8 +399,8 @@ def initialize_first_frame(
         t1, t2, t3 = euler_from_rotation(R)
         return KinematicParams(t1, t2, t3, *t.tolist())
 
-    prior = KinematicParams(0.0, 0.0, 0.0, 0.0, 0.0, config.nominal_depth_mm)
-    return fit_pose(prior, model, obs, intrinsics, config).theta
+    prior = KinematicParams(0.0, 0.0, 0.0, 0.0, 0.0, _NOMINAL_DEPTH_MM)
+    return fit_pose(prior, model, obs, intrinsics).theta
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +422,7 @@ _SMOOTHER_SETTLE = 1e-3
 # A pooled residual below this is the fits' own rounding, not measurement
 # noise: such runs are noise-free and keep their per-frame fits.
 _NOISE_FREE_PX = 1e-6
-# Frames linearized at once, which bounds the numeric Jacobian's temporaries.
+# Frames linearized at once, which bounds the Jacobian's temporaries.
 _CHUNK_FRAMES = 256
 
 
@@ -505,7 +512,6 @@ def _linearize(
     theta: np.ndarray,
     stack: tuple[np.ndarray, np.ndarray, np.ndarray],
     intrinsics: camera.CameraIntrinsics,
-    config: FitConfig,
 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """Masked residuals (n, 2m) and Jacobians (n, 2m, 6) at poses (F, 6),
     yielded with their slice of frames, at most ``_CHUNK_FRAMES`` at a time."""
@@ -513,7 +519,7 @@ def _linearize(
         chunk = slice(start, start + _CHUNK_FRAMES)
         points, uv, mask = (a[chunk] for a in stack)
         r = _residuals_array(theta[chunk], points, uv, intrinsics) * mask
-        J = _numeric_jacobian(theta[chunk], points, uv, intrinsics, config) * mask[..., None]
+        J = _jacobian(theta[chunk], points, uv, intrinsics) * mask[..., None]
         yield chunk, r, J
 
 
@@ -521,12 +527,11 @@ def _normal_equations(
     theta: np.ndarray,
     stack: tuple[np.ndarray, np.ndarray, np.ndarray],
     intrinsics: camera.CameraIntrinsics,
-    config: FitConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each frame's J^T J (F, 6, 6) and J^T r (F, 6) at poses (F, 6)."""
     JtJ = np.empty((len(theta), 6, 6))
     Jtr = np.empty((len(theta), 6))
-    for chunk, r, J in _linearize(theta, stack, intrinsics, config):
+    for chunk, r, J in _linearize(theta, stack, intrinsics):
         JtJ[chunk] = np.swapaxes(J, 1, 2) @ J
         Jtr[chunk] = np.einsum("fmi,fm->fi", J, r)
     return JtJ, Jtr
@@ -539,7 +544,6 @@ def _smooth_poses(
     stack: tuple[np.ndarray, np.ndarray, np.ndarray],
     sigma2: float,
     intrinsics: camera.CameraIntrinsics,
-    config: FitConfig,
 ) -> tuple[np.ndarray, int, bool]:
     """Iterated fixed-interval smoothing of per-frame fits ``theta`` (F, 6)
     at frame offsets ``t`` (increasing, from 0).
@@ -554,7 +558,7 @@ def _smooth_poses(
     gimbal guard.
     """
     T = int(t[-1]) + 1
-    JtJ, Jtr = _normal_equations(theta, stack, intrinsics, config)
+    JtJ, Jtr = _normal_equations(theta, stack, intrinsics)
     var = np.diagonal(np.linalg.inv(JtJ[informative]), axis1=1, axis2=2)
     scale = np.sqrt(np.median(var, axis=0))
     mean = theta.mean(axis=0)
@@ -582,7 +586,7 @@ def _smooth_poses(
         if np.max(np.abs(step[t, ::3])) <= _SMOOTHER_SETTLE * noise:
             settled = True
             break
-        JtJ, Jtr = _normal_equations(theta, stack, intrinsics, config)
+        JtJ, Jtr = _normal_equations(theta, stack, intrinsics)
     return theta, passes, settled
 
 
@@ -614,7 +618,6 @@ def _smooth_track(
     frames: Sequence[Sequence[FeatureObservation]],
     model: "GeometricTargetModel",
     intrinsics: camera.CameraIntrinsics,
-    config: FitConfig,
 ) -> PoseTrack:
     """``track`` with its fitted frames' poses smoothed over the run, or
     ``track`` itself where the smoother does not apply or fails."""
@@ -635,7 +638,6 @@ def _smooth_track(
             stack,
             sigma2,
             intrinsics,
-            config,
         )
         if not settled:
             logger.warning(
@@ -645,7 +647,7 @@ def _smooth_track(
         rms = np.empty(len(fitted))
         cov = np.empty((len(fitted), 6))
         degenerate = np.empty(len(fitted), dtype=bool)
-        for chunk, r, J in _linearize(theta, stack, intrinsics, config):
+        for chunk, r, J in _linearize(theta, stack, intrinsics):
             rms[chunk] = np.sqrt(np.sum(r**2, axis=1) / m[chunk])
             cov[chunk], degenerate[chunk] = _covariance_proxy(J)
     except (GimbalLockError, camera.BehindCameraError, np.linalg.LinAlgError) as e:
@@ -669,7 +671,6 @@ def track_sequence(
     frames: Sequence[Sequence[FeatureObservation]],
     model: "GeometricTargetModel",
     intrinsics: camera.CameraIntrinsics,
-    config: FitConfig = FitConfig(),
     rate_hz: float = 30.0,
 ) -> PoseTrack:
     """Fit every frame of a sequence, then smooth the poses over the run.
@@ -716,10 +717,8 @@ def track_sequence(
             statuses.append("gap")
             continue
         try:
-            init = prev if prev is not None else initialize_first_frame(
-                model, obs, intrinsics, config
-            )
-            report = fit_pose(init, model, obs, intrinsics, config)
+            init = prev if prev is not None else initialize_first_frame(model, obs, intrinsics)
+            report = fit_pose(init, model, obs, intrinsics)
         except (GimbalLockError, camera.DegenerateGeometryError, camera.BehindCameraError) as e:
             logger.warning("frame %d: %s; marking gap", i, e)
             reports.append(None)
@@ -731,4 +730,4 @@ def track_sequence(
     if prev is None:
         raise TrackingError("no frame in the sequence could be fitted")
     track = PoseTrack(rate_hz=rate_hz, reports=reports, statuses=statuses)
-    return _smooth_track(track, frames, model, intrinsics, config)
+    return _smooth_track(track, frames, model, intrinsics)

@@ -16,7 +16,6 @@ from swaykin import (
     AnatomicalFrame,
     CameraIntrinsics,
     FeatureObservation,
-    FitConfig,
     KinematicParams,
     NoiseSpec,
     RigidTransform,
@@ -423,7 +422,6 @@ def test_smoother_polynomial_and_linearity():
 
 def test_warm_start_not_worse_than_random_init():
     model = default_target("lumbar")
-    config = FitConfig()
     warm_errs, random_errs = [], []
     skipped = 0
     for seed in range(10):
@@ -432,7 +430,7 @@ def test_warm_start_not_worse_than_random_init():
         obs = render_observations(
             theta, model, DEFAULT_INTRINSICS, NoiseSpec(sigma_px=0.2, seed=100 + seed)
         )
-        track = track_sequence(obs, model, DEFAULT_INTRINSICS, config)
+        track = track_sequence(obs, model, DEFAULT_INTRINSICS)
         rng = np.random.default_rng(1000 + seed)
         for i, rep in enumerate(track.reports):
             if rep is None:
@@ -447,7 +445,7 @@ def test_warm_start_not_worse_than_random_init():
                 1000.0 + rng.uniform(-100.0, 100.0),
             )
             try:
-                cold = fit_pose(init, model, obs[i], DEFAULT_INTRINSICS, config)
+                cold = fit_pose(init, model, obs[i], DEFAULT_INTRINSICS)
             except Exception:
                 skipped += 1
                 continue

@@ -14,7 +14,9 @@ from swaykin import (
     motion_matrix,
     resample_linear,
     savitzky_golay,
+    sway_from_poses,
     to_anatomical,
+    virtual_point,
 )
 
 
@@ -79,6 +81,23 @@ def test_anatomical_axis_ordering():
     # board (x, y, z) carries (ML, SI, AP); output order is (AP, ML, SI)
     out = anatomical_from_board(np.array([1.0, 2.0, 3.0]))
     npt.assert_array_equal(out, [3.0, 1.0, 2.0])
+
+
+def test_sway_from_poses_matches_per_pose_reference():
+    rng = np.random.default_rng(31)
+    frame = _frame_from(KinematicParams(0.3, -0.2, 0.1, 40.0, -25.0, 1200.0))
+    theta = np.column_stack(
+        [rng.uniform(-0.4, 0.4, (20, 3)), rng.uniform(-60.0, 60.0, (20, 2)), rng.uniform(800.0, 1400.0, 20)]
+    )
+    for offset in (np.array([12.0, -7.0, 100.0]), None):
+        delta = np.zeros(3) if offset is None else offset
+        ref = np.stack(
+            [
+                anatomical_from_board(to_anatomical(frame, virtual_point(KinematicParams.from_array(row), delta)))
+                for row in theta
+            ]
+        )
+        npt.assert_allclose(sway_from_poses(theta, offset, frame), ref, rtol=0, atol=1e-9)
 
 
 def test_frame_rejects_non_rigid_matrix():

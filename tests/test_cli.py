@@ -248,6 +248,18 @@ def test_track_rate_override(sim_dir, tmp_path):
     assert traj.sample_rate_hz == pytest.approx(60.0)
 
 
+def test_track_short_recording_fails_without_partial_output(tmp_path):
+    # 9 frames at 30 Hz are shorter than the 0.5 s (15-sample) filter window.
+    (tmp_path / "scenario.json").write_text(json.dumps(dict(SCENARIO, duration_sec=0.3)))
+    assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "sim")]) == 0
+    theta, _ = fileio.load_theta_csv(tmp_path / "sim" / "truth_theta.csv")
+    assert len(theta) == 9
+    out = tmp_path / "o"
+    assert main(["track", "--config", str(tmp_path / "sim" / "track_config.json"), "--out", str(out)]) == 1
+    assert not (out / "pose_lumbar.csv").exists()
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # track (rendered-frames path)
 

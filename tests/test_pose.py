@@ -8,7 +8,6 @@ from swaykin import (
     BehindCameraError,
     CameraIntrinsics,
     FeatureObservation,
-    FitConfig,
     GimbalLockError,
     InsufficientCorrespondenceError,
     KinematicParams,
@@ -25,7 +24,7 @@ from swaykin import (
     reprojection_residuals,
     track_sequence,
 )
-from swaykin.pose import _numeric_jacobian, _residuals_array
+from swaykin.pose import _jacobian, _residuals_array
 
 INTR = CameraIntrinsics(fx=4000, fy=4000, x0=1024, y0=1024)
 MODEL = default_target("lumbar")
@@ -143,17 +142,16 @@ def test_residuals_behind_camera():
         reprojection_residuals(KinematicParams(0, 0, 0, 0, 0, -500.0), MODEL, obs, INTR)
 
 
-def test_numeric_jacobian_matches_finite_difference():
+def test_jacobian_matches_finite_difference():
     rng = np.random.default_rng(22)
-    cfg = FitConfig()
     theta = KinematicParams(0.1, -0.05, 0.08, 5.0, -3.0, 1000.0)
     obs = _exact_obs(theta)
     uv = np.array([o.position for o in obs])
     idx = np.arange(len(obs))
     th = _theta_array(theta) + rng.normal(0, 0.01, 6)
     pts = MODEL.points[idx]
-    J = _numeric_jacobian(th, pts, uv, INTR, cfg)
-    # independent forward-difference check with a different step
+    J = _jacobian(th, pts, uv, INTR)
+    # independent central-difference check
     h = 1e-7
     J_ref = np.empty_like(J)
     for k in range(6):
@@ -163,7 +161,19 @@ def test_numeric_jacobian_matches_finite_difference():
         rm = _residuals_array(th - d, pts, uv, INTR)
         J_ref[:, k] = (rp - rm) / (2 * h)
     scale = np.maximum(np.abs(J_ref), 1.0)
-    assert np.max(np.abs(J - J_ref) / scale) < 1e-4
+    assert np.max(np.abs(J - J_ref) / scale) < 1e-5
+
+
+def test_stacked_jacobian_matches_per_frame_calls():
+    # The smoother linearizes all frames at once through the batched shape.
+    rng = np.random.default_rng(29)
+    th = _theta_array(HOME) + rng.normal(0, [0.1, 0.1, 0.1, 20.0, 20.0, 50.0], (5, 6))
+    pts = MODEL.points[rng.permuted(np.tile(np.arange(MODEL.n_features), (5, 1)), axis=1)]
+    uv = rng.uniform(900.0, 1150.0, pts.shape[:-1] + (2,))
+    J = _jacobian(th, pts, uv, INTR)
+    assert J.shape == (5, 2 * MODEL.n_features, 6)
+    for f in range(5):
+        npt.assert_allclose(J[f], _jacobian(th[f], pts[f], uv[f], INTR), rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +241,7 @@ def test_fit_cost_descends_with_iteration_budget():
     init = KinematicParams(0.0, 0.0, 0.0, 0.0, 0.0, 1000.0)
     last = np.inf
     for budget in range(1, 8):
-        report = fit_pose(init, MODEL, noisy, INTR, FitConfig(max_iterations=budget))
+        report = fit_pose(init, MODEL, noisy, INTR, max_iterations=budget)
         assert report.rms_residual_px <= last + 1e-12
         last = report.rms_residual_px
 
@@ -472,7 +482,7 @@ def test_track_reports_describe_smoothed_pose():
         # The smoothed pose is not the frame's own optimum ...
         assert rep.rms_residual_px > own.rms_residual_px
         # ... and every field of the report is evaluated there.
-        here = fit_pose(rep.theta, MODEL, obs, INTR, FitConfig(max_iterations=0))
+        here = fit_pose(rep.theta, MODEL, obs, INTR, max_iterations=0)
         assert here.iterations == 0
         assert rep.rms_residual_px == pytest.approx(here.rms_residual_px, rel=1e-9)
         npt.assert_allclose(rep.covariance_diag, here.covariance_diag, rtol=1e-6)
