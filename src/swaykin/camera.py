@@ -209,22 +209,36 @@ def undistort_point(intrinsics: CameraIntrinsics, pixels: np.ndarray) -> np.ndar
     return _apply_K(intrinsics, undistort_normalized(intrinsics, xd))
 
 
-def undistort_frame(intrinsics: CameraIntrinsics, image: np.ndarray) -> np.ndarray:
+def undistort_frame(
+    intrinsics: CameraIntrinsics,
+    image: np.ndarray,
+    window: tuple[int, int, int, int] | None = None,
+) -> np.ndarray:
     """Resample an image so straight lines are straight under the pinhole model.
 
     Each output pixel is bilinearly sampled from the source at its distorted
     location; samples outside the source are 0.
+
+    ``window = (u0, v0, u1, v1)`` remaps only the output columns
+    ``u0 <= u < u1`` and rows ``v0 <= v < v1``, still sampling the whole
+    source: the result equals ``undistort_frame(intrinsics, image)[v0:v1, u0:u1]``
+    value for value. An empty window or one that leaves the image raises
+    ``ValueError``.
     """
     img = np.asarray(image, dtype=float)
     if img.ndim != 2 or img.size == 0:
         raise ValueError(f"expected a nonempty 2D grayscale image, got shape {img.shape}")
-    if not intrinsics.has_distortion:
-        return img.copy()
     h, w = img.shape
-    vv, uu = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float), indexing="ij")
-    grid = np.stack([uu.ravel(), vv.ravel()], axis=-1)
-    src = distort_point(intrinsics, grid)
-    coords = np.stack([src[:, 1].reshape(h, w), src[:, 0].reshape(h, w)])
+    u0, v0, u1, v1 = (0, 0, w, h) if window is None else (int(x) for x in window)
+    if not (0 <= u0 < u1 <= w and 0 <= v0 < v1 <= h):
+        raise ValueError(f"window {window} is empty or leaves the {w}x{h} image")
+    if not intrinsics.has_distortion:
+        return img[v0:v1, u0:u1].copy()
+    vv, uu = np.meshgrid(
+        np.arange(v0, v1, dtype=float), np.arange(u0, u1, dtype=float), indexing="ij"
+    )
+    src = distort_point(intrinsics, np.stack([uu.ravel(), vv.ravel()], axis=-1))
+    coords = np.stack([src[:, 1].reshape(uu.shape), src[:, 0].reshape(uu.shape)])
     return ndimage.map_coordinates(img, coords, order=1, mode="constant", cval=0.0)
 
 

@@ -317,59 +317,21 @@ def _ingest_features_csv(path: Path, intr: camera.CameraIntrinsics) -> list[list
     ]
 
 
-def _match_gate(predictions: np.ndarray) -> float:
-    if len(predictions) < 2:
-        return 20.0
-    d = np.linalg.norm(predictions[:, None] - predictions[None, :], axis=2)
-    np.fill_diagonal(d, np.inf)
-    return max(5.0, 0.4 * float(d.min()))
-
-
 def _ingest_frames_dir(
     dirpath: Path,
     model: target.GeometricTargetModel,
     intr: camera.CameraIntrinsics,
     detector: dict,
 ) -> list[list[features.FeatureObservation]]:
-    """Detect, refine, and assign model correspondence frame by frame.
-
-    The first usable frame is matched by lattice bootstrapping; afterwards
-    each feature is gated to its last known position, which tolerates missed
-    detections. Frames that fail both routes become empty (tracking gaps).
-    """
+    """Read a directory's PGM frames in name order, one at a time, into
+    :func:`features.detect_sequence`."""
     if not dirpath.is_dir():
         raise ConfigError(f"frames directory not found: {dirpath}")
     paths = sorted(dirpath.glob("*.pgm"))
     if not paths:
         raise ConfigError(f"no .pgm frames in {dirpath}")
-
-    frames: list[list[features.FeatureObservation]] = []
-    last_pos: dict[int, np.ndarray] = {}
-    for p in paths:
-        img = _load_data(fileio.read_pgm, p, "frame")
-        und = camera.undistort_frame(intr, img)
-        dets = features.detect_refined(und, **detector)
-        matched: list[features.FeatureObservation] = []
-        try:
-            matched = features.bootstrap_correspondence(dets, model.points)
-        except (features.LatticeMatchError, features.InsufficientCorrespondenceError):
-            if last_pos:
-                idxs = sorted(last_pos)
-                pred = np.stack([last_pos[i] for i in idxs])
-                try:
-                    near = features.match_features(dets, pred, _match_gate(pred))
-                    matched = [
-                        features.FeatureObservation(m.position, m.score, idxs[m.model_index])
-                        for m in near
-                    ]
-                except features.InsufficientCorrespondenceError:
-                    matched = []
-        if not matched:
-            logger.warning("%s: no usable correspondence; gap", p.name)
-        for m in matched:
-            last_pos[m.model_index] = m.position
-        frames.append(matched)
-    return frames
+    frames = ((f"{dirpath.name}/{p.name}", _load_data(fileio.read_pgm, p, "frame")) for p in paths)
+    return features.detect_sequence(frames, model.points, intr, **detector)
 
 
 def _trajectory_from_track(

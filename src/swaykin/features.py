@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,6 +28,9 @@ KERNEL_SIGMA = 2.0
 DEFAULT_THRESHOLD_FRACTION = 0.5
 DEFAULT_NMS_RADIUS = 8
 DEFAULT_REFINE_RADIUS = 5
+
+# Gap frames named in detect_sequence's warning; the rest are counted.
+_GAPS_SHOWN = 5
 
 # Structure-tensor conditioning limit for sub-pixel refinement.
 MAX_TENSOR_CONDITION = 1e8
@@ -94,6 +98,20 @@ def _quadrant_kernels() -> list[np.ndarray]:
 _KERNELS = _quadrant_kernels()
 
 
+def _saddle_response(img: np.ndarray, kernels: list[np.ndarray]) -> np.ndarray:
+    """One orientation's saddle response. Each correlation is freed once used,
+    which bounds the peak memory of a full-frame call."""
+    fa, fb, fc, fd = (ndimage.correlate(img, k, mode="nearest") for k in kernels)
+    mu = 0.25 * (fa + fb + fc + fd)
+    lo_ab = np.minimum(fa, fb)
+    del fa, fb
+    lo_cd = np.minimum(fc, fd)
+    del fc, fd
+    s_pos = np.minimum(lo_ab - mu, mu - lo_cd)
+    s_neg = np.minimum(mu - lo_ab, lo_cd - mu)
+    return np.maximum(s_pos, s_neg, out=s_pos)
+
+
 def corner_likelihood(image: np.ndarray) -> np.ndarray:
     """Per-pixel checker-junction likelihood, same shape as the input.
 
@@ -115,15 +133,9 @@ def corner_likelihood(image: np.ndarray) -> np.ndarray:
     if min(img.shape) < KERNEL_SIZE:
         raise ValueError(f"image {img.shape} smaller than kernel ({KERNEL_SIZE}x{KERNEL_SIZE})")
 
-    resp = [ndimage.correlate(img, k, mode="nearest") for k in _KERNELS]
     like = np.zeros_like(img)
-    for fa, fb, fc, fd in (resp[:4], resp[4:]):
-        mu = 0.25 * (fa + fb + fc + fd)
-        lo_ab = np.minimum(fa, fb)
-        lo_cd = np.minimum(fc, fd)
-        s_pos = np.minimum(lo_ab - mu, mu - lo_cd)
-        s_neg = np.minimum(mu - lo_ab, lo_cd - mu)
-        like = np.maximum(like, np.maximum(s_pos, s_neg))
+    for kernels in (_KERNELS[:4], _KERNELS[4:]):
+        np.maximum(like, _saddle_response(img, kernels), out=like)
     np.maximum(like, 0.0, out=like)
     r = KERNEL_RADIUS
     like[:r, :] = 0.0
@@ -270,6 +282,106 @@ def detect_refined(
         except (ValueError, NoGradientError):
             pos = det.position
         out.append(replace(det, position=pos))
+    return out
+
+
+def _match_gate(predictions: np.ndarray) -> float:
+    """Largest frame-to-frame motion (px) that gating to ``predictions`` accepts."""
+    if len(predictions) < 2:
+        return 20.0
+    d = np.linalg.norm(predictions[:, None] - predictions[None, :], axis=2)
+    np.fill_diagonal(d, np.inf)
+    return max(5.0, 0.4 * float(d.min()))
+
+
+def detect_sequence(
+    frames: Iterable[tuple[str, np.ndarray]],
+    model_points: np.ndarray,
+    intrinsics: camera.CameraIntrinsics,
+    threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION,
+    nms_radius: int = DEFAULT_NMS_RADIUS,
+    refine_radius: int = DEFAULT_REFINE_RADIUS,
+) -> list[list[FeatureObservation]]:
+    """Undistort, detect and assign model correspondence frame by frame.
+
+    ``frames`` yields ``(name, raw image)`` pairs; each image is undistorted
+    with :func:`camera.undistort_frame` and detected with
+    :func:`detect_refined`. Positions are undistorted pixels.
+
+    A frame is first matched on the whole image by lattice bootstrapping;
+    if that fails, each feature is gated to its last known position, which
+    tolerates missed detections. Frames that fail both routes become empty
+    (tracking gaps), reported in one warning at the end.
+
+    After a frame has matched every model feature, the next frame is first
+    undistorted and detected only inside a window: the bounding box of those
+    positions, widened by the match gate plus the reach of the detector
+    (kernel, non-maximum and refinement radii, and the gradient margin). A
+    feature that moved no farther than the gate then sees the same pixels as
+    on the whole image; only the detection threshold is taken relative to
+    the window's strongest response. The window's result is kept when its
+    detections bootstrap to the whole model and each lies within the gate of
+    its last position; otherwise the frame takes the whole-image route above.
+    """
+    mp = np.asarray(model_points, dtype=float)
+    reach = KERNEL_RADIUS + nms_radius + refine_radius + 1
+
+    def detect(image: np.ndarray, window=None) -> list[FeatureObservation]:
+        und = camera.undistort_frame(intrinsics, image, window)
+        dets = detect_refined(und, threshold_fraction, nms_radius, refine_radius)
+        if window is None:
+            return dets
+        offset = np.array(window[:2], dtype=float)
+        return [replace(d, position=d.position + offset) for d in dets]
+
+    out: list[list[FeatureObservation]] = []
+    gaps: list[str] = []
+    last_pos: dict[int, np.ndarray] = {}
+    anchor = None  # positions of the last frame that matched every feature
+    for name, image in frames:
+        matched: list[FeatureObservation] = []
+        if anchor is not None:
+            gate = _match_gate(anchor)
+            h, w = np.shape(image)
+            lo = np.floor(anchor.min(axis=0) - gate) - reach
+            hi = np.ceil(anchor.max(axis=0) + gate) + reach + 1
+            window = (
+                int(max(lo[0], 0)), int(max(lo[1], 0)), int(min(hi[0], w)), int(min(hi[1], h))
+            )
+            try:
+                near = bootstrap_correspondence(detect(image, window), mp)
+            except (LatticeMatchError, InsufficientCorrespondenceError):
+                near = []
+            # Bootstrap returns every feature in model order, as the anchor holds them.
+            moved = [np.linalg.norm(m.position - a) for m, a in zip(near, anchor)]
+            if near and max(moved) <= gate:
+                matched = near
+        if not matched:
+            dets = detect(image)
+            try:
+                matched = bootstrap_correspondence(dets, mp)
+            except (LatticeMatchError, InsufficientCorrespondenceError):
+                if last_pos:
+                    idxs = sorted(last_pos)
+                    pred = np.stack([last_pos[i] for i in idxs])
+                    try:
+                        near = match_features(dets, pred, _match_gate(pred))
+                        matched = [replace(m, model_index=idxs[m.model_index]) for m in near]
+                    except InsufficientCorrespondenceError:
+                        matched = []
+        if not matched:
+            logger.debug("%s: no usable correspondence; gap", name)
+            gaps.append(name)
+        for m in matched:
+            last_pos[m.model_index] = m.position
+        anchor = np.stack([m.position for m in matched]) if len(matched) == len(mp) else None
+        out.append(matched)
+    if gaps:
+        shown = ", ".join(gaps[:_GAPS_SHOWN]) + (", ..." if len(gaps) > _GAPS_SHOWN else "")
+        logger.warning(
+            "%d of %d frames have no usable correspondence and are gaps: %s",
+            len(gaps), len(out), shown,
+        )
     return out
 
 

@@ -167,6 +167,28 @@ def test_undistort_frame_constant_interior():
     npt.assert_allclose(out[8:-8, 8:-8], 0.37, atol=1e-9)
 
 
+WINDOW_INTR = CameraIntrinsics(fx=60, fy=60, x0=30, y0=22, k1=0.3, k2=0.05)
+
+
+@pytest.mark.parametrize("intr", [WINDOW_INTR, CameraIntrinsics(fx=60, fy=60, x0=30, y0=22)])
+def test_undistort_frame_window_equals_full_frame_slice(intr):
+    img = np.random.default_rng(5).uniform(0, 1, (48, 64))
+    full = undistort_frame(intr, img)
+    # Interior, whole image, and windows on each border and corner.
+    for u0, v0, u1, v1 in [(5, 7, 40, 30), (0, 0, 64, 48), (50, 0, 64, 11), (0, 30, 9, 48), (0, 10, 64, 20), (63, 47, 64, 48)]:
+        npt.assert_array_equal(undistort_frame(intr, img, (u0, v0, u1, v1)), full[v0:v1, u0:u1])
+
+
+@pytest.mark.parametrize(
+    "window",
+    [(10, 10, 10, 20), (10, 20, 30, 20), (30, 10, 20, 20), (-1, 0, 10, 10), (0, -1, 10, 10), (0, 0, 65, 48), (0, 0, 64, 49), (70, 50, 80, 60)],
+)
+def test_undistort_frame_rejects_empty_or_outside_window(window):
+    img = np.zeros((48, 64))
+    with pytest.raises(ValueError, match="window"):
+        undistort_frame(WINDOW_INTR, img, window)
+
+
 def test_undistort_frame_straightens_rendered_grid():
     """Corners of a distorted render line up with the pinhole projection after resampling."""
     intr = CameraIntrinsics(fx=800, fy=800, x0=200, y0=200, k1=0.8)

@@ -1,5 +1,7 @@
 """Corner detection, sub-pixel refinement and matching tests."""
 
+import logging
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,16 +14,20 @@ from swaykin import (
     InsufficientCorrespondenceError,
     KinematicParams,
     NoGradientError,
+    bootstrap_correspondence,
+    camera,
     corner_likelihood,
+    default_target,
     detect_features,
     detect_refined,
+    detect_sequence,
     match_features,
     project,
     refine_subpixel,
     render_frame,
 )
 from swaykin import RigidTransform
-from swaykin.features import SOBEL_X, SOBEL_Y
+from swaykin.features import SOBEL_X, SOBEL_Y, _quadrant_kernels
 
 
 def draw_saddle(shape, center, angle=0.0, half=10.0, contrast=0.4, aa=1.0):
@@ -78,6 +84,23 @@ def test_likelihood_rotated_saddle_still_peaks():
     like = corner_likelihood(img)
     v, u = np.unravel_index(np.argmax(like), like.shape)
     assert (u, v) == (50, 50)
+
+
+def test_likelihood_equals_eight_response_reference():
+    """All eight quadrant correlations held at once, composed per orientation."""
+    img = np.random.default_rng(11).uniform(0.0, 1.0, (90, 120))
+    resp = [ndimage.correlate(img, k, mode="nearest") for k in _quadrant_kernels()]
+    ref = np.zeros_like(img)
+    for fa, fb, fc, fd in (resp[:4], resp[4:]):
+        mu = 0.25 * (fa + fb + fc + fd)
+        lo_ab = np.minimum(fa, fb)
+        lo_cd = np.minimum(fc, fd)
+        s_pos = np.minimum(lo_ab - mu, mu - lo_cd)
+        s_neg = np.minimum(mu - lo_ab, lo_cd - mu)
+        ref = np.maximum(ref, np.maximum(s_pos, s_neg))
+    ref = np.maximum(ref, 0.0)
+    ref[:5, :] = ref[-5:, :] = ref[:, :5] = ref[:, -5:] = 0.0
+    npt.assert_array_equal(corner_likelihood(img), ref)
 
 
 def test_likelihood_white_noise_rarely_fires():
@@ -274,3 +297,89 @@ def test_match_output_sorted_by_model_index():
     out = match_features(_obs(det[::-1]), pred, gate=3.0)
     idx = [o.model_index for o in out]
     assert idx == sorted(idx)
+
+
+# ---------------------------------------------------------------------------
+# detect_sequence
+
+SEQ_INTR = CameraIntrinsics(fx=2000, fy=2000, x0=160, y0=160, k1=-8.0, k2=10.0)
+SEQ_MODEL = default_target("lumbar")
+
+
+def _seq_frame(du_mm, dv_mm, seed):
+    """The lumbar target about the image center, moved (du, dv) mm, distorted, with sensor noise."""
+    theta = KinematicParams(0.01, -0.02, 0.015, -30.0 + du_mm, -30.0 + dv_mm, 1000.0)
+    img = render_frame(theta, SEQ_MODEL, intrinsics=SEQ_INTR, image_size=(320, 320))
+    return img + np.random.default_rng(seed).normal(0.0, 0.02, img.shape)
+
+
+def _full_frame_reference(img):
+    return bootstrap_correspondence(detect_refined(camera.undistort_frame(SEQ_INTR, img)), SEQ_MODEL.points)
+
+
+def _windows_used(monkeypatch):
+    """Record the window of every undistort_frame call made by detect_sequence."""
+    calls = []
+    original = camera.undistort_frame
+
+    def spy(intrinsics, image, window=None):
+        calls.append(window)
+        return original(intrinsics, image, window)
+
+    monkeypatch.setattr(camera, "undistort_frame", spy)
+    return calls
+
+
+def _assert_same_detections(got, ref):
+    assert [o.model_index for o in got] == [o.model_index for o in ref]
+    npt.assert_allclose([o.position for o in got], [o.position for o in ref], rtol=0, atol=1e-9)
+
+
+def test_sequence_window_matches_full_frame_detection(monkeypatch):
+    # Steps of 7 mm (14 px) on one axis, just inside the 16 px match gate, then small ones.
+    motion = [(0, 0), (7, 0), (7, -7), (0, -7), (-7, -7), (-7, 0), (0, 0), (1.5, -1.0), (2.5, 0.5)]
+    imgs = [_seq_frame(du, dv, seed=k) for k, (du, dv) in enumerate(motion)]
+    windows = _windows_used(monkeypatch)
+    out = detect_sequence(((f"f{k}", img) for k, img in enumerate(imgs)), SEQ_MODEL.points, SEQ_INTR)
+    assert len(out) == len(imgs)
+    # Acquired on the whole frame, then every frame stays in its window.
+    assert windows[0] is None and len(windows) == len(imgs)
+    for w in windows[1:]:
+        assert w is not None and (w[2] - w[0]) * (w[3] - w[1]) < 0.5 * 320 * 320
+    for got, img in zip(out, imgs):
+        _assert_same_detections(got, _full_frame_reference(img))
+
+
+def test_sequence_blank_frame_is_gap_then_reacquired(monkeypatch, caplog):
+    imgs = [_seq_frame(0.0, 0.0, 1), _seq_frame(1.0, 1.0, 2), np.full((320, 320), 0.5), _seq_frame(2.0, 0.5, 3)]
+    windows = _windows_used(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="swaykin.features"):
+        out = detect_sequence(((f"f{k}", img) for k, img in enumerate(imgs)), SEQ_MODEL.points, SEQ_INTR)
+    assert out[2] == []
+    # The blank frame leaves no window for the next, which is found on the whole frame.
+    assert [w is None for w in windows] == [True, False, False, True, True]
+    _assert_same_detections(out[3], _full_frame_reference(imgs[3]))
+    assert [r.getMessage() for r in caplog.records] == [
+        "1 of 4 frames have no usable correspondence and are gaps: f2"
+    ]
+
+
+# 50 px leaves the window; 20 px stays inside it but exceeds the 16 px match gate.
+@pytest.mark.parametrize("jump_mm", [25.0, 10.0])
+def test_sequence_target_beyond_window_recovered_by_full_frame(monkeypatch, jump_mm):
+    imgs = [_seq_frame(0.0, 0.0, 4), _seq_frame(jump_mm, 0.0, 5)]
+    windows = _windows_used(monkeypatch)
+    out = detect_sequence(((f"f{k}", img) for k, img in enumerate(imgs)), SEQ_MODEL.points, SEQ_INTR)
+    assert windows[0] is None and windows[1] is not None and windows[2] is None
+    assert len(out[1]) == len(SEQ_MODEL.points)
+    _assert_same_detections(out[1], _full_frame_reference(imgs[1]))
+
+
+def test_sequence_gap_warning_is_aggregated(caplog):
+    blank = np.full((40, 40), 0.5)
+    with caplog.at_level(logging.WARNING, logger="swaykin.features"):
+        out = detect_sequence(((f"f{k}", blank) for k in range(7)), SEQ_MODEL.points, SEQ_INTR)
+    assert out == [[]] * 7
+    assert [r.getMessage() for r in caplog.records] == [
+        "7 of 7 frames have no usable correspondence and are gaps: f0, f1, f2, f3, f4, ..."
+    ]
