@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage, optimize
 
 logger = logging.getLogger(__name__)
 
@@ -239,6 +238,7 @@ def undistort_frame(
     )
     src = distort_point(intrinsics, np.stack([uu.ravel(), vv.ravel()], axis=-1))
     coords = np.stack([src[:, 1].reshape(uu.shape), src[:, 0].reshape(uu.shape)])
+    from scipy import ndimage
     return ndimage.map_coordinates(img, coords, order=1, mode="constant", cval=0.0)
 
 
@@ -468,6 +468,7 @@ def calibrate(
         p0[7 + 6 * i : 10 + 6 * i] = _rodrigues_inv(pose.rotation)
         p0[10 + 6 * i : 13 + 6 * i] = pose.translation
 
+    from scipy import optimize
     sol = optimize.least_squares(residuals, p0, method="lm", xtol=1e-14, ftol=1e-14)
     (fx, fy, x0, y0, skew, k1, k2), poses = unpack(sol.x)
     intr = CameraIntrinsics(fx=fx, fy=fy, x0=x0, y0=y0, skew=skew, k1=k1, k2=k2)

@@ -14,8 +14,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import ConvexHull
 
 from swaykin import camera
 
@@ -101,6 +99,7 @@ _KERNELS = _quadrant_kernels()
 def _saddle_response(img: np.ndarray, kernels: list[np.ndarray]) -> np.ndarray:
     """One orientation's saddle response. Each correlation is freed once used,
     which bounds the peak memory of a full-frame call."""
+    from scipy import ndimage
     fa, fb, fc, fd = (ndimage.correlate(img, k, mode="nearest") for k in kernels)
     mu = 0.25 * (fa + fb + fc + fd)
     lo_ab = np.minimum(fa, fb)
@@ -160,6 +159,7 @@ def detect_features(
         raise ValueError(f"nms_radius must be >= 1, got {nms_radius}")
     like = np.asarray(likelihood, dtype=float)
     size = 2 * int(nms_radius) + 1
+    from scipy import ndimage
     peak = like >= ndimage.maximum_filter(like, size=size, mode="nearest")
     vs, us = np.nonzero(peak & (like > threshold))
     scores = like[vs, us]
@@ -201,6 +201,7 @@ def refine_subpixel(
             f"exceeds image bounds {w}x{h}"
         )
 
+    from scipy import ndimage
     patch = img[cv - r - 1 : cv + r + 2, cu - r - 1 : cu + r + 2]
     gx = ndimage.correlate(patch, SOBEL_X, mode="nearest")[1:-1, 1:-1]
     gy = ndimage.correlate(patch, SOBEL_Y, mode="nearest")[1:-1, 1:-1]
@@ -526,6 +527,7 @@ def order_checkerboard_corners(points: np.ndarray, rows: int, cols: int) -> np.n
     pts = np.asarray(points, dtype=float)
     if pts.shape != (rows * cols, 2):
         raise ValueError(f"expected {rows * cols} corner points, got {pts.shape}")
+    from scipy.spatial import ConvexHull
     hull = ConvexHull(pts)
     hv = hull.vertices
 

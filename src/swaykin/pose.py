@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
 
 from swaykin import camera
 from swaykin.features import FeatureObservation, InsufficientCorrespondenceError
@@ -37,6 +36,7 @@ _GRADIENT_TOL = 1e-4
 # step raises it and an accepted one lowers it.
 _INIT_LAMBDA = 1e-3
 _LAMBDA_FACTOR = 10.0
+_EYE6 = np.eye(6)
 # Depth of the frontal prior from which non-planar targets are initialized.
 _NOMINAL_DEPTH_MM = 1000.0
 
@@ -248,11 +248,10 @@ def _covariance_proxy(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cov.copy(), degenerate
 
 
-def _gradient_settled(J: np.ndarray, r: np.ndarray, cost: float) -> bool:
+def _gradient_settled(g: np.ndarray, scale: np.ndarray, cost: float) -> bool:
     if cost == 0.0:
         return True
-    scale = np.linalg.norm(J, axis=0)
-    cosines = np.abs(J.T @ r)[scale > 0] / (scale[scale > 0] * math.sqrt(cost))
+    cosines = np.abs(g)[scale > 0] / (scale[scale > 0] * math.sqrt(cost))
     return bool(np.all(cosines <= _GRADIENT_TOL))
 
 
@@ -303,13 +302,13 @@ def fit_pose(
     iterations = 0
     J = _jacobian(th, points, obs_uv, intrinsics)
     while iterations < max_iterations:
-        if _gradient_settled(J, r, cost):
+        scale = np.linalg.norm(J, axis=0)
+        g = J.T @ r
+        if _gradient_settled(g, scale, cost):
             converged = True
             break
         iterations += 1
-        scale = np.linalg.norm(J, axis=0)
         step_bound = _STEP_TOL * (np.linalg.norm(scale * th) + _STEP_TOL)
-        g = J.T @ r
         JtJ = J.T @ J
         accepted = False
         # Whether the last refused step crossed the gimbal guard or put a
@@ -317,7 +316,7 @@ def fit_pose(
         blocked = False
         while lam < 1e12:
             try:
-                step = np.linalg.solve(JtJ + lam * np.eye(6), -g)
+                step = np.linalg.solve(JtJ + lam * _EYE6, -g)
             except np.linalg.LinAlgError:
                 lam *= _LAMBDA_FACTOR
                 continue
@@ -474,6 +473,7 @@ def _jerk_density(t: np.ndarray, y: np.ndarray, var: np.ndarray, T: int) -> floa
     first state has a flat prior, here from a banded Cholesky factorization
     of the normal equations.
     """
+    from scipy.linalg import cho_solve_banded, cholesky_banded
     F, G = _jerk_matrices(np.ones(1))
     prior = _jerk_banded(T, F, G)
     rhs = np.zeros(3 * T)
@@ -599,6 +599,7 @@ def _gauss_newton_step(
     pose, i.e. the Gauss-Newton step from there, with information ``info``
     (F, 6, 6) and data gradient ``grad`` (F, 6) on its positions.
     """
+    from scipy.linalg import solveh_banded
     T = len(z)
     ab = _jerk_banded(T, F, G)
     i, j = np.tril_indices(6)

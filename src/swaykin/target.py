@@ -7,12 +7,12 @@ so a single 2D view pins down the full 6-DOF pose without ambiguity.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from swaykin import camera
 from swaykin.pose import KinematicParams, motion_matrix
 
 GRID_PITCH_MM = 20.0
@@ -60,27 +60,6 @@ class GeometricTargetModel:
         return len(self.points)
 
 
-def _cube_rotations() -> list[np.ndarray]:
-    """The 24 proper rotations of the cube, as matrices."""
-    mats = []
-    for perm in itertools.permutations(range(3)):
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            R = np.zeros((3, 3))
-            for row, (col, s) in enumerate(zip(perm, signs)):
-                R[row, col] = s
-            if np.linalg.det(R) > 0:
-                mats.append(R)
-    return mats
-
-
-_CUBE_ROTATIONS = _cube_rotations()
-
-
-def _rotation_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def _maps_onto_itself(centered: np.ndarray, R: np.ndarray) -> bool:
     rotated = centered @ R.T
     d = np.linalg.norm(rotated[:, None, :] - centered[None, :, :], axis=2)
@@ -90,33 +69,50 @@ def _maps_onto_itself(centered: np.ndarray, R: np.ndarray) -> bool:
     return len(np.unique(nearest)) == len(centered)
 
 
-def validate_asymmetry(model: GeometricTargetModel, grid_step_deg: float = 1.0) -> None:
-    """Check that no sampled nontrivial rotation maps the point set onto itself.
+def _frame(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Right-handed orthonormal frame (columns) of a non-parallel pair."""
+    e3 = np.cross(u, v)
+    e1, e3 = u / np.linalg.norm(u), e3 / np.linalg.norm(e3)
+    return np.column_stack([e1, np.cross(e3, e1), e3])
 
-    Candidate rotations are the 24 cube symmetries composed with in-plane
-    (z-axis) rotations sampled every ``grid_step_deg``; the point set is
-    compared about its centroid with a 1e-6 mm set-match tolerance. Raises
-    :class:`AmbiguousTargetError` naming the first offending rotation. The
-    grid sampling makes this a sound but approximate check: a symmetry axis
-    falling between samples could go unnoticed.
+
+def validate_asymmetry(model: GeometricTargetModel) -> None:
+    """Check that no nontrivial rotation maps the point set onto itself.
+
+    A rotation about the centroid is fixed by where it sends two independent
+    centred points: ``a``, the farthest, and ``b``, the one with the largest
+    ``|a x b|``. Each other pair whose norms and mutual distance match those
+    of ``a`` and ``b`` within twice the 1e-6 mm set-match tolerance gives one
+    candidate rotation, compared with the whole set. A symmetry moves norms
+    by at most that tolerance and distances by at most twice it, so none is
+    missed. Raises :class:`AmbiguousTargetError` naming the rotation's angle and axis.
     """
-    if grid_step_deg <= 0:
-        raise ValueError("grid_step_deg must be positive")
     centered = model.points - model.points.mean(axis=0)
-    n_steps = int(round(360.0 / grid_step_deg))
-    for phi_idx in range(n_steps):
-        Rz = _rotation_z(math.radians(phi_idx * grid_step_deg))
-        for cube in _CUBE_ROTATIONS:
-            R = cube @ Rz
-            angle = math.acos(max(-1.0, min(1.0, (np.trace(R) - 1.0) / 2.0)))
-            if angle < 1e-9:
-                continue
-            if _maps_onto_itself(centered, R):
-                raise AmbiguousTargetError(
-                    f"target '{model.name}' maps onto itself under a "
-                    f"{math.degrees(angle):.1f} degree rotation "
-                    f"(in-plane sample {phi_idx * grid_step_deg:.1f} degrees)"
-                )
+    norms = np.linalg.norm(centered, axis=1)
+    ia = int(np.argmax(norms))
+    ib = int(np.argmax(np.linalg.norm(np.cross(centered[ia], centered), axis=1)))
+    tol = 2.0 * SET_MATCH_TOL_MM
+    dist = np.linalg.norm(centered[:, None, :] - centered[None, :, :], axis=2)
+    match = (
+        (np.abs(norms - norms[ia]) <= tol)[:, None]
+        & (np.abs(norms - norms[ib]) <= tol)[None, :]
+        & (np.abs(dist - dist[ia, ib]) <= tol)
+    )
+    np.fill_diagonal(match, False)
+    # Skip the identity by index, not angle: acos of a trace near 3 loses digits.
+    match[ia, ib] = False
+    base = _frame(centered[ia], centered[ib])
+    for i, j in zip(*np.nonzero(match)):
+        R = _frame(centered[i], centered[j]) @ base.T
+        if _maps_onto_itself(centered, R):
+            rvec = camera._rodrigues_inv(R)
+            angle = float(np.linalg.norm(rvec))
+            axis = rvec / angle
+            raise AmbiguousTargetError(
+                f"target '{model.name}' maps onto itself under a "
+                f"{math.degrees(angle):.1f} degree rotation about the axis "
+                f"({axis[0]:.3f}, {axis[1]:.3f}, {axis[2]:.3f}) through its centroid"
+            )
 
 
 def virtual_point(theta: KinematicParams, delta: np.ndarray) -> np.ndarray:

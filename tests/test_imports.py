@@ -1,0 +1,92 @@
+"""Which scipy modules a command loads.
+
+A command imports only what it calls: ``import swaykin.cli`` and the
+``analyze`` and ``agree`` commands need no scipy, and a feature-CSV ``track``
+needs only ``scipy.linalg``. Each case runs in a fresh interpreter, so
+modules that other tests imported cannot hide a top-level import.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from swaykin import SwayTrajectory, fileio
+from swaykin.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Imports the CLI, runs each command of argv[2] (a JSON list of argument
+# lists) and writes, to argv[3], the scipy modules loaded after the import
+# and after each command.
+_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import swaykin, swaykin.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+steps = [scipy_modules()]
+for argv in json.loads(sys.argv[2]):
+    if swaykin.cli.main(argv) != 0:
+        raise SystemExit(f"command failed: {argv}")
+    steps.append(scipy_modules())
+with open(sys.argv[3], "w") as f:
+    f.write(json.dumps(steps))
+"""
+
+
+def _scipy_modules_after(tmp_path, *commands):
+    report = tmp_path / "modules.json"
+    subprocess.run(
+        [sys.executable, "-c", _PROBE, str(SRC), json.dumps(commands), str(report)],
+        check=True, timeout=120, capture_output=True,
+    )
+    return json.loads(report.read_text())
+
+
+def _write_traj(path, label):
+    t = np.arange(300) / 30.0
+    samples = np.column_stack([5.0 * np.sin(2 * np.pi * 0.3 * t), np.zeros((300, 2))])
+    fileio.save_trajectory_csv(
+        path, SwayTrajectory(sample_rate_hz=30.0, label=label, samples=samples, valid=np.ones(300, bool))
+    )
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    assert _scipy_modules_after(tmp_path) == [[]]
+
+
+def test_analyze_and_agree_load_no_scipy(tmp_path):
+    tdir = tmp_path / "traj"
+    tdir.mkdir()
+    for label in ("p01", "p02"):
+        _write_traj(tdir / f"trajectory_{label}.csv", label)
+    a = tdir / "trajectory_p01.csv"
+    steps = _scipy_modules_after(
+        tmp_path,
+        ["analyze", "--traj", str(tdir), "--out", str(tmp_path / "out")],
+        ["agree", "--a", str(a), "--b", str(a), "--out", str(tmp_path / "agree.json")],
+    )
+    assert steps == [[], [], []]
+
+
+def test_feature_csv_track_loads_only_scipy_linalg(tmp_path):
+    # With noise, so the smoother (scipy.linalg) runs.
+    scenario = {
+        "duration_sec": 2.0,
+        "rate_hz": 30.0,
+        "seed": 3,
+        "noise": {"sigma_px": 0.2, "dropout": 0.0},
+        "targets": ["lumbar"],
+    }
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "sim")]) == 0
+    steps = _scipy_modules_after(
+        tmp_path, ["track", "--config", str(tmp_path / "sim" / "track_config.json"), "--out", str(tmp_path / "out")]
+    )
+    assert steps[0] == []
+    assert "scipy.linalg" in steps[1]
+    for name in ("scipy.ndimage", "scipy.optimize", "scipy.spatial"):
+        assert not [m for m in steps[1] if m == name or m.startswith(name + ".")], name

@@ -98,6 +98,34 @@ def test_displaced_corner_breaks_symmetry():
     validate_asymmetry(GeometricTargetModel("square5", square))
 
 
+_TILT = motion_matrix(KinematicParams(0.3, -0.2, 0.45, 0, 0, 0))[:3, :3]
+
+
+def test_tilted_square_with_centre_is_ambiguous():
+    # Four-fold about an axis off every sampled direction: a check that
+    # tries a grid of rotations would need that axis among its samples.
+    square = np.array([[0.0, 0, 0], [40, 0, 0], [40, 40, 0], [0, 40, 0], [20, 20, 0]])
+    with pytest.raises(AmbiguousTargetError, match="degree rotation about the axis"):
+        validate_asymmetry(GeometricTargetModel("square5t", square @ _TILT.T))
+
+
+def test_heptagon_off_the_sampled_angles_is_ambiguous():
+    # Seven-fold and turned 0.25 degrees: no symmetry lies on a 1-degree grid.
+    phi = np.arange(7) * 2 * np.pi / 7 + np.radians(0.25)
+    hept = np.column_stack([30.0 * np.cos(phi), 30.0 * np.sin(phi), np.zeros(7)])
+    with pytest.raises(AmbiguousTargetError):
+        validate_asymmetry(GeometricTargetModel("heptagon", hept))
+
+
+def test_asymmetric_targets_pass_in_any_orientation():
+    # The tilted copy guards the identity: rebuilt from rounded frames, it
+    # must not be mistaken for a small symmetry.
+    for name in ("lumbar", "shoulder"):
+        validate_asymmetry(default_target(name))
+    tilted = _grid_points(missing=(0, 1)) @ _TILT.T
+    validate_asymmetry(GeometricTargetModel("grid15e-tilted", tilted))
+
+
 # ---------------------------------------------------------------------------
 # virtual point
 
