@@ -28,7 +28,6 @@ EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
 
-DEFAULT_FILTER = {"window_sec": 0.5, "order": 2}
 DEFAULT_MAX_GAP_SEC = 0.2
 
 
@@ -321,7 +320,6 @@ def _ingest_frames_dir(
     dirpath: Path,
     model: target.GeometricTargetModel,
     intr: camera.CameraIntrinsics,
-    detector: dict,
 ) -> list[list[features.FeatureObservation]]:
     """Read a directory's PGM frames in name order, one at a time, into
     :func:`features.detect_sequence`."""
@@ -331,7 +329,7 @@ def _ingest_frames_dir(
     if not paths:
         raise ConfigError(f"no .pgm frames in {dirpath}")
     frames = ((f"{dirpath.name}/{p.name}", _load_data(fileio.read_pgm, p, "frame")) for p in paths)
-    return features.detect_sequence(frames, model.points, intr, **detector)
+    return features.detect_sequence(frames, model.points, intr)
 
 
 def _trajectory_from_track(
@@ -351,6 +349,11 @@ def _trajectory_from_track(
 
 def cmd_track(args: argparse.Namespace) -> int:
     cfg = _load_json(args.config)
+    if cfg.get("filter") is not None or "detector" in cfg:
+        raise ConfigError(
+            "track config: the pose smoother is the filter and the detector has no settings; "
+            "drop 'detector' and set 'filter' to null or drop it"
+        )
     base = Path(args.config).parent
     if args.frames is not None:  # flags win over config, including its features mapping
         cfg["frames"] = args.frames
@@ -390,17 +393,7 @@ def cmd_track(args: argparse.Namespace) -> int:
             raise ConfigError("a single frames directory needs exactly one target")
         frames_cfg = {targets[0][0]: frames_cfg}
 
-    filt = cfg.get("filter", DEFAULT_FILTER)
-    if filt is not None:
-        try:
-            window_sec = float(filt.get("window_sec", DEFAULT_FILTER["window_sec"]))
-            order = int(filt.get("order", DEFAULT_FILTER["order"]))
-        except (TypeError, ValueError, AttributeError) as e:
-            raise ConfigError(f"track config filter: {e}") from e
     max_gap = float(cfg.get("max_gap_sec", DEFAULT_MAX_GAP_SEC))
-    detector = cfg.get("detector", {})
-    if set(detector) - {"threshold_fraction", "nms_radius", "refine_radius"}:
-        raise ConfigError("detector config accepts threshold_fraction, nms_radius, refine_radius")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -410,17 +403,13 @@ def cmd_track(args: argparse.Namespace) -> int:
         if seg in feat_cfg:
             obs_frames = _ingest_features_csv(_resolve(base, feat_cfg[seg]), intr)
         elif seg in frames_cfg:
-            obs_frames = _ingest_frames_dir(
-                _resolve(base_frames, frames_cfg[seg]), model, intr, detector
-            )
+            obs_frames = _ingest_frames_dir(_resolve(base_frames, frames_cfg[seg]), model, intr)
         else:
             raise ConfigError(f"segment '{seg}' has neither a features CSV nor a frames directory")
 
         track = pose.track_sequence(obs_frames, model, intr, rate_hz=rate)
         raw = _trajectory_from_track(track, model, frame, seg)
         traj = anatomy.interpolate_gaps(raw, max_gap)
-        if filt is not None:
-            traj = anatomy.savitzky_golay(traj, window_sec=window_sec, order=order)
         # Written only once all three are computed: a failed segment leaves none.
         fileio.save_pose_track_csv(out / f"pose_{seg}.csv", track)
         fileio.save_trajectory_csv(out / f"trajectory_raw_{seg}.csv", raw)

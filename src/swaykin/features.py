@@ -23,9 +23,9 @@ KERNEL_RADIUS = 5
 KERNEL_SIZE = 2 * KERNEL_RADIUS + 1
 KERNEL_SIGMA = 2.0
 
-DEFAULT_THRESHOLD_FRACTION = 0.5
-DEFAULT_NMS_RADIUS = 8
-DEFAULT_REFINE_RADIUS = 5
+THRESHOLD_FRACTION = 0.5
+NMS_RADIUS = 8
+REFINE_RADIUS = 5
 
 # Gap frames named in detect_sequence's warning; the rest are counted.
 _GAPS_SHOWN = 5
@@ -164,20 +164,26 @@ def detect_features(
     vs, us = np.nonzero(peak & (like > threshold))
     scores = like[vs, us]
     order = np.lexsort((us, vs, -scores))
+    us, vs, scores = us[order], vs[order], scores[order]
 
-    kept: list[FeatureObservation] = []
-    kept_uv: list[tuple[int, int]] = []
-    for i in order:
-        u, v = int(us[i]), int(vs[i])
-        if any(max(abs(u - ku), abs(v - kv)) <= nms_radius for ku, kv in kept_uv):
-            continue
-        kept_uv.append((u, v))
-        kept.append(FeatureObservation(np.array([u, v], dtype=float), float(scores[i])))
-    return kept
+    # Two peaks within nms_radius of each other lie in each other's filter
+    # window, so their scores are equal: suppression acts only within a run
+    # of equal scores, where it keeps the first of each cluster in order.
+    keep = np.ones(len(scores), dtype=bool)
+    bounds = np.flatnonzero(np.diff(scores, prepend=np.nan, append=np.nan) != 0)
+    ties = np.diff(bounds) > 1
+    for start, stop in zip(bounds[:-1][ties], bounds[1:][ties]):
+        for i in range(start + 1, stop):
+            near = np.maximum(np.abs(us[start:i] - us[i]), np.abs(vs[start:i] - vs[i])) <= nms_radius
+            keep[i] = not np.any(near & keep[start:i])
+    return [
+        FeatureObservation(np.array([u, v], dtype=float), float(score))
+        for u, v, score in zip(us[keep], vs[keep], scores[keep])
+    ]
 
 
 def refine_subpixel(
-    image: np.ndarray, coarse: np.ndarray, neighborhood_radius: int = DEFAULT_REFINE_RADIUS
+    image: np.ndarray, coarse: np.ndarray, neighborhood_radius: int = REFINE_RADIUS
 ) -> np.ndarray:
     """Refine a coarse corner to sub-pixel accuracy via gradient orthogonality.
 
@@ -260,15 +266,10 @@ def match_features(
     return matched
 
 
-def detect_refined(
-    image: np.ndarray,
-    threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION,
-    nms_radius: int = DEFAULT_NMS_RADIUS,
-    refine_radius: int = DEFAULT_REFINE_RADIUS,
-) -> list[FeatureObservation]:
+def detect_refined(image: np.ndarray) -> list[FeatureObservation]:
     """Detect and sub-pixel-refine all checker junctions in a frame.
 
-    The detection threshold is ``threshold_fraction`` of the likelihood map's
+    The detection threshold is ``THRESHOLD_FRACTION`` of the likelihood map's
     global maximum. Detections whose refinement neighborhood leaves the image
     or has degenerate gradients keep their pixel-level position.
     """
@@ -277,9 +278,9 @@ def detect_refined(
     if peak <= 0.0:
         return []
     out = []
-    for det in detect_features(like, threshold_fraction * peak, nms_radius):
+    for det in detect_features(like, THRESHOLD_FRACTION * peak, NMS_RADIUS):
         try:
-            pos = refine_subpixel(image, det.position, refine_radius)
+            pos = refine_subpixel(image, det.position)
         except (ValueError, NoGradientError):
             pos = det.position
         out.append(replace(det, position=pos))
@@ -299,9 +300,6 @@ def detect_sequence(
     frames: Iterable[tuple[str, np.ndarray]],
     model_points: np.ndarray,
     intrinsics: camera.CameraIntrinsics,
-    threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION,
-    nms_radius: int = DEFAULT_NMS_RADIUS,
-    refine_radius: int = DEFAULT_REFINE_RADIUS,
 ) -> list[list[FeatureObservation]]:
     """Undistort, detect and assign model correspondence frame by frame.
 
@@ -325,11 +323,11 @@ def detect_sequence(
     its last position; otherwise the frame takes the whole-image route above.
     """
     mp = np.asarray(model_points, dtype=float)
-    reach = KERNEL_RADIUS + nms_radius + refine_radius + 1
+    reach = KERNEL_RADIUS + NMS_RADIUS + REFINE_RADIUS + 1
 
     def detect(image: np.ndarray, window=None) -> list[FeatureObservation]:
         und = camera.undistort_frame(intrinsics, image, window)
-        dets = detect_refined(und, threshold_fraction, nms_radius, refine_radius)
+        dets = detect_refined(und)
         if window is None:
             return dets
         offset = np.array(window[:2], dtype=float)

@@ -32,8 +32,9 @@ MIN_OBSERVATIONS = 4
 _COST_TOL = 1e-6
 _STEP_TOL = 1e-10
 _GRADIENT_TOL = 1e-4
-# Levenberg-Marquardt damping: its start, and the factor by which a refused
-# step raises it and an accepted one lowers it.
+# Levenberg-Marquardt damping: its start (also the smoother's, after a refused
+# pass), and the factor by which fit_pose raises it on a refused step and
+# lowers it on an accepted one.
 _INIT_LAMBDA = 1e-3
 _LAMBDA_FACTOR = 10.0
 _EYE6 = np.eye(6)
@@ -414,7 +415,7 @@ _JERK_Q = np.array([[1 / 20, 1 / 8, 1 / 6], [1 / 8, 1 / 3, 1 / 2], [1 / 6, 1 / 2
 # The smoother's cut-off is near density**(1/6) rad/frame, so the grid spans
 # cut-offs from 0.01 rad/frame (0.05 Hz at 30 Hz) to far beyond Nyquist.
 _JERK_DENSITIES = 10.0 ** np.arange(-12.0, 8.25, 0.5)
-_SMOOTHER_MAX_PASSES = 10
+_SMOOTHER_MAX_PASSES = 100
 # The passes stop once no parameter moves by more than this fraction of its
 # per-frame standard deviation.
 _SMOOTHER_SETTLE = 1e-3
@@ -553,9 +554,11 @@ def _smooth_poses(
     whole objective is multiplied by the noise variance ``sigma2``, so the
     normal equations do not depend on the noise level. ``informative`` marks
     the frames with full-rank Jacobians, which pick the jerk densities.
-    Returns the smoothed poses, the number of passes and whether the pose
-    settled. Raises :class:`GimbalLockError` if a smoothed pitch leaves the
-    gimbal guard.
+    Each pass is a Levenberg-Marquardt step on that objective, damping each
+    fitted frame's information on Nielsen's schedule (Madsen, Nielsen &
+    Tingleff, 2004); the undamped step that settles skips the cost test, as
+    its change in cost can be rounding. Returns the smoothed poses, the
+    number of passes and whether the pose settled.
     """
     T = int(t[-1]) + 1
     JtJ, Jtr = _normal_equations(theta, stack, intrinsics)
@@ -571,29 +574,55 @@ def _smooth_poses(
         ]
     )
     F, G = _jerk_matrices(1.0 / density)
+
+    def cost(z: np.ndarray) -> float:
+        # Half the squared residuals plus half w^T G w over the jerk
+        # increments w; infinite past the gimbal guard or behind the camera.
+        th = mean + scale * z[t, ::3]
+        if np.any(np.abs(th[:, 1]) >= math.pi / 2 - GIMBAL_MARGIN):
+            return math.inf
+        try:
+            r = _residuals_array(th, stack[0], stack[1], intrinsics) * stack[2]
+        except camera.BehindCameraError:
+            return math.inf
+        w = z[1:] - z[:-1] @ F.T
+        return 0.5 * float(np.sum(r**2) + np.einsum("ti,ij,tj->", w, G, w))
+
     # State per frame: each parameter's scaled position, velocity and
     # acceleration. Each pass solves for the increment, so rounding scales
     # with the step.
     z = np.zeros((T, 18))
     z[t, ::3] = xi
-    settled = False
+    current, lam, growth = cost(z), 0.0, 2.0
     for passes in range(1, _SMOOTHER_MAX_PASSES + 1):
-        step = _gauss_newton_step(z, t, F, G, JtJ * scale[:, None] * scale, Jtr * scale)
-        z += step
-        theta = mean + scale * z[t, ::3]
-        if np.any(np.abs(theta[:, 1]) >= math.pi / 2 - GIMBAL_MARGIN):
-            raise GimbalLockError("a smoothed pitch is within the gimbal guard of +-pi/2")
-        if np.max(np.abs(step[t, ::3])) <= _SMOOTHER_SETTLE * noise:
-            settled = True
+        info, grad = JtJ * scale[:, None] * scale, Jtr * scale
+        step, rhs = _gauss_newton_step(z, t, F, G, info, grad)
+        if settled := bool(np.max(np.abs(step[t, ::3])) <= _SMOOTHER_SETTLE * noise):
+            z += step
             break
-        JtJ, Jtr = _normal_equations(theta, stack, intrinsics)
-    return theta, passes, settled
+        # A refused step is retried from the same linearization, more damped.
+        while lam < 1e12:
+            if lam > 0:
+                step, rhs = _gauss_newton_step(z, t, F, G, info + lam * _EYE6, grad)
+            new = cost(z + step)
+            if new < current:
+                break
+            lam, growth = (lam * growth if lam > 0 else _INIT_LAMBDA), 2.0 * growth
+        else:
+            break
+        if lam > 0:
+            gain = (current - new) / (0.5 * (np.sum(rhs * step) + lam * np.sum(step[t, ::3] ** 2)))
+            lam, growth = lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 2.0
+        z, current = z + step, new
+        JtJ, Jtr = _normal_equations(mean + scale * z[t, ::3], stack, intrinsics)
+    return mean + scale * z[t, ::3], passes, settled
 
 
 def _gauss_newton_step(
     z: np.ndarray, t: np.ndarray, F: np.ndarray, G: np.ndarray, info: np.ndarray, grad: np.ndarray
-) -> np.ndarray:
-    """Gauss-Newton increment (T, 18) of the smoother's states ``z``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Newton increment (T, 18) of the smoother's states ``z``, and
+    the right-hand side (T, 18) of its normal equations.
 
     Each frame at ``t`` contributes its residuals linearized at the current
     pose, i.e. the Gauss-Newton step from there, with information ``info``
@@ -611,7 +640,7 @@ def _gauss_newton_step(
     rhs[:-1] += Gw @ F
     rhs[1:] -= Gw
     rhs[t, ::3] -= grad
-    return solveh_banded(ab, rhs.ravel(), overwrite_ab=True, lower=True).reshape(T, 18)
+    return solveh_banded(ab, rhs.ravel(), overwrite_ab=True, lower=True).reshape(T, 18), rhs
 
 
 def _smooth_track(
@@ -642,7 +671,7 @@ def _smooth_track(
         )
         if not settled:
             logger.warning(
-                "pose smoother still moving after %d passes; keeping the per-frame fits", passes
+                "pose smoother did not settle in %d passes; keeping the per-frame fits", passes
             )
             return track
         rms = np.empty(len(fitted))
@@ -651,7 +680,7 @@ def _smooth_track(
         for chunk, r, J in _linearize(theta, stack, intrinsics):
             rms[chunk] = np.sqrt(np.sum(r**2, axis=1) / m[chunk])
             cov[chunk], degenerate[chunk] = _covariance_proxy(J)
-    except (GimbalLockError, camera.BehindCameraError, np.linalg.LinAlgError) as e:
+    except (camera.BehindCameraError, np.linalg.LinAlgError) as e:
         logger.warning("pose smoother failed (%s); keeping the per-frame fits", e)
         return track
     logger.debug("pose smoother settled after %d passes", passes)
@@ -693,9 +722,11 @@ def track_sequence(
       taken at the smoothed pose and sigma^2 is pooled over the run from the
       per-frame fits' residuals;
     - it re-linearizes at the smoothed pose until no parameter moves by more
-      than 1e-3 of its per-frame standard deviation (at most 10 passes),
+      than 1e-3 of its per-frame standard deviation (at most 100 passes),
       which makes it Gauss-Newton on the whole run's objective (Bell, SIAM
-      J. Optim. 4(3), 1994);
+      J. Optim. 4(3), 1994); a pass that would raise it, cross the gimbal
+      guard or put a feature behind the camera is damped until it does not
+      (Sarkka & Svensson, ICASSP 2020);
     - each parameter's jerk density maximizes the likelihood of the
       innovations of the per-frame fits over a grid.
 
@@ -703,11 +734,10 @@ def track_sequence(
     solve of the block-tridiagonal normal equations, whose forward and back
     substitutions are the filter and the RTS sweeps. Noise-free observations
     (sigma^2 = 0) and runs with fewer than 3 full-rank fitted frames keep the
-    per-frame fits. So does a run whose smoother fails: one that has not
-    settled after 10 passes, or whose smoothed pose puts a feature behind the
-    camera or leaves the gimbal guard; a warning is logged. Every report
-    describes the pose it returns: residual, covariance proxy and degeneracy
-    are evaluated at the smoothed pose.
+    per-frame fits. So does a run whose smoother has not settled after 100
+    passes or finds no damping that lowers the objective; a warning is
+    logged. Every report describes the pose it returns: residual, covariance
+    proxy and degeneracy are evaluated at the smoothed pose.
     """
     reports: list[FitReport | None] = []
     statuses: list[str] = []

@@ -48,6 +48,13 @@ class GeometricTargetModel:
         sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
         if sv[1] < 1e-9:
             raise ValueError("target points are collinear")
+        # The symmetry check pairs each point with a different one, which a
+        # repeated feature defeats.
+        d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        np.fill_diagonal(d, np.inf)
+        if d.min() <= SET_MATCH_TOL_MM:
+            i, j = np.unravel_index(np.argmin(d), d.shape)
+            raise ValueError(f"target features {i} and {j} coincide")
         object.__setattr__(self, "points", pts)
         if self.virtual_offset is not None:
             off = np.asarray(self.virtual_offset, dtype=float).reshape(3)

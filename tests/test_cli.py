@@ -248,16 +248,54 @@ def test_track_rate_override(sim_dir, tmp_path):
     assert traj.sample_rate_hz == pytest.approx(60.0)
 
 
-def test_track_short_recording_fails_without_partial_output(tmp_path):
-    # 9 frames at 30 Hz are shorter than the 0.5 s (15-sample) filter window.
-    (tmp_path / "scenario.json").write_text(json.dumps(dict(SCENARIO, duration_sec=0.3)))
+def _simulate_short(tmp_path, noise):
+    """A 0.3 s, 9-frame recording; returns its directory."""
+    sc = dict(SCENARIO, duration_sec=0.3, noise=noise)
+    (tmp_path / "scenario.json").write_text(json.dumps(sc))
     assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "sim")]) == 0
     theta, _ = fileio.load_theta_csv(tmp_path / "sim" / "truth_theta.csv")
     assert len(theta) == 9
+    return tmp_path / "sim"
+
+
+def test_track_short_noisy_recording_tracks(tmp_path):
+    sim = _simulate_short(tmp_path, {"sigma_px": 0.2, "dropout": 0.0})
     out = tmp_path / "o"
-    assert main(["track", "--config", str(tmp_path / "sim" / "track_config.json"), "--out", str(out)]) == 1
+    assert main(["track", "--config", str(sim / "track_config.json"), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "pose_lumbar.csv", "trajectory_lumbar.csv", "trajectory_raw_lumbar.csv"
+    ]
+    traj = fileio.load_trajectory_csv(out / "trajectory_lumbar.csv")
+    assert traj.n_samples == 9 and np.all(traj.valid)
+
+
+def test_track_untrackable_recording_fails_without_partial_output(tmp_path):
+    sim = _simulate_short(tmp_path, {"sigma_px": 0.0, "dropout": 0.0})
+    # Three observations per frame, one short of a pose fit: no frame tracks.
+    frames = fileio.load_features_csv(sim / "features_lumbar.csv")
+    fileio.save_features_csv(sim / "features_lumbar.csv", [obs[:3] for obs in frames])
+    out = tmp_path / "o"
+    assert main(["track", "--config", str(sim / "track_config.json"), "--out", str(out)]) == 1
     assert not (out / "pose_lumbar.csv").exists()
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"filter": {"window_sec": 0.5, "order": 2}},
+        {"filter": {}},
+        {"detector": {"threshold_fraction": 0.5}},
+        {"detector": {}},
+    ],
+)
+def test_track_rejects_filter_and_detector_settings(sim_dir, tmp_path, caplog, setting):
+    cfg = dict(json.loads((sim_dir / "track_config.json").read_text()), **setting)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["track", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 2
+    assert "the pose smoother is the filter" in caplog.text
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,35 @@ def test_detect_nms_soundness_random_maps():
                 assert np.max(np.abs(pos[i] - pos[j])) > radius
 
 
+def _greedy_nms(likelihood, threshold, nms_radius):
+    """Reference: every peak of the maximum filter, strongest first, kept
+    unless a kept one lies within nms_radius."""
+    peak = likelihood >= ndimage.maximum_filter(likelihood, size=2 * nms_radius + 1, mode="nearest")
+    vs, us = np.nonzero(peak & (likelihood > threshold))
+    scores = likelihood[vs, us]
+    kept = []
+    for i in np.lexsort((us, vs, -scores)):
+        u, v = int(us[i]), int(vs[i])
+        if all(max(abs(u - ku), abs(v - kv)) > nms_radius for ku, kv, _ in kept):
+            kept.append((u, v, float(scores[i])))
+    return kept
+
+
+def test_detect_nms_matches_greedy_reference_on_plateau_maps():
+    rng = np.random.default_rng(7)
+    for k in range(60):
+        shape = tuple(rng.integers(12, 48, 2))
+        # Few levels and blocky maps give plateaus and ties between nearby peaks.
+        levels = int(rng.integers(2, 6))
+        m = rng.integers(0, levels, shape).astype(float) / levels
+        if k % 2:
+            m = np.kron(m, np.ones((2, 3)))
+        radius = int(rng.integers(1, 6))
+        dets = detect_features(m, 0.5 / levels, radius)
+        got = [(int(d.position[0]), int(d.position[1]), d.score) for d in dets]
+        assert got == _greedy_nms(m, 0.5 / levels, radius)
+
+
 # ---------------------------------------------------------------------------
 # refine_subpixel
 

@@ -47,6 +47,14 @@ def test_model_rejects_nonfinite():
         GeometricTargetModel("bad", pts)
 
 
+def test_model_rejects_coincident_features():
+    # The full grid with one feature listed twice: a symmetric target that
+    # the symmetry check cannot see through the repeated feature.
+    pts = _grid_points()
+    with pytest.raises(ValueError, match="features 5 and 16 coincide"):
+        GeometricTargetModel("grid17", np.vstack([pts, pts[5]]))
+
+
 def test_default_models_load_and_validate():
     for name in ("lumbar", "shoulder"):
         model = default_target(name)
