@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -102,13 +101,6 @@ def _positive_rate(value) -> float:
     if rate <= 0:
         raise ConfigError(f"rate must be positive, got {rate}")
     return rate
-
-
-def _parallel_map(fn, items, jobs: int) -> list:
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(fn, items))
-    return [fn(it) for it in items]
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +248,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "features": {},
     }
 
-    def run_target(item: tuple[int, str, target.GeometricTargetModel]) -> str:
-        i, name, model = item
+    # One function call per target, so each target's data is freed before
+    # the next is made.
+    def run_target(i: int, name: str, model: target.GeometricTargetModel) -> None:
         fileio.save_target(out / f"target_{name}.json", model)
         # Independent corruption stream per target.
         tnoise = synth.NoiseSpec(noise.sigma_px, noise.dropout, noise.seed + i)
@@ -272,6 +265,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             valid=np.ones(len(sway), dtype=bool),
         )
         fileio.save_trajectory_csv(out / f"trajectory_truth_{name}.csv", truth)
+        track_cfg["targets"].append({"segment": name, "file": f"target_{name}.json"})
+        track_cfg["features"][name] = f"features_{name}.csv"
 
         if args.render_frames:
             fdir = out / f"frames_{name}"
@@ -281,15 +276,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     pose.KinematicParams.from_array(row), model, intr, image_size
                 )
                 fileio.write_pgm(fdir / f"frame_{k:06d}.pgm", img)
-        return name
-
-    items = [(i, name, model) for i, (name, model) in enumerate(targets)]
-    names = _parallel_map(run_target, items, args.jobs)
-    for name in names:
-        track_cfg["targets"].append({"segment": name, "file": f"target_{name}.json"})
-        track_cfg["features"][name] = f"features_{name}.csv"
-        if args.render_frames:
             track_cfg.setdefault("frames", {})[name] = f"frames_{name}"
+
+    for i, (name, model) in enumerate(targets):
+        run_target(i, name, model)
     (out / "track_config.json").write_text(json.dumps(track_cfg, indent=2) + "\n")
 
     print(
@@ -398,8 +388,9 @@ def cmd_track(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def run_segment(item: tuple[str, target.GeometricTargetModel]) -> str:
-        seg, model = item
+    # One function call per segment, so each segment's frames and track are
+    # freed before the next is read.
+    def run_segment(seg: str, model: target.GeometricTargetModel) -> None:
         if seg in feat_cfg:
             obs_frames = _ingest_features_csv(_resolve(base, feat_cfg[seg]), intr)
         elif seg in frames_cfg:
@@ -420,13 +411,13 @@ def cmd_track(args: argparse.Namespace) -> int:
         mean_rms = float(
             np.mean([r.rms_residual_px for r in track.reports if r is not None])
         )
-        return (
+        print(
             f"segment {seg}: {fitted}/{track.n_frames} frames fitted, {gaps} gaps, "
             f"mean RMS {mean_rms:.3f} px"
         )
 
-    for line in _parallel_map(run_segment, targets, args.jobs):
-        print(line)
+    for seg, model in targets:
+        run_segment(seg, model)
     print(f"trajectories -> {out}")
     return EXIT_OK
 
@@ -585,7 +576,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--render-frames", action="store_true", help="also rasterize .pgm frames")
-    p.add_argument("--jobs", type=int, default=1, help="parallel targets")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("track", help="recover anatomical sway trajectories")
@@ -593,7 +583,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--frames", help="override the config's frames directory")
     p.add_argument("--rate", type=float, help="override the config's sample rate (Hz)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel targets")
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("analyze", help="path-length table, optionally vs a second condition")

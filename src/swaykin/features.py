@@ -182,23 +182,22 @@ def detect_features(
     ]
 
 
-def refine_subpixel(
-    image: np.ndarray, coarse: np.ndarray, neighborhood_radius: int = REFINE_RADIUS
-) -> np.ndarray:
+def refine_subpixel(image: np.ndarray, coarse: np.ndarray) -> np.ndarray:
     """Refine a coarse corner to sub-pixel accuracy via gradient orthogonality.
 
     At a checker junction every local gradient g(n) is orthogonal to the
     vector from the true center p to the pixel n, so p minimizes
     Σ (g(n)·(n − p))². The closed-form minimizer solves the 2x2 system
-    (Σ g gᵀ) p = Σ (g gᵀ) n with 3x3 Sobel gradients over the neighborhood.
+    (Σ g gᵀ) p = Σ (g gᵀ) n with 3x3 Sobel gradients over the neighborhood
+    of radius ``REFINE_RADIUS``.
 
     The neighborhood (plus a 1-px gradient margin) must lie inside the image.
-    Results farther than ``neighborhood_radius`` from ``coarse`` fall back to
-    the coarse position.
+    Results farther than ``REFINE_RADIUS`` from ``coarse`` fall back to the
+    coarse position.
     """
     img = np.asarray(image, dtype=float)
     c = np.asarray(coarse, dtype=float).reshape(2)
-    r = int(neighborhood_radius)
+    r = REFINE_RADIUS
     cu, cv = int(round(c[0])), int(round(c[1]))
     h, w = img.shape
     if not (r + 1 <= cu < w - r - 1 and r + 1 <= cv < h - r - 1):

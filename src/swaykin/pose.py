@@ -28,7 +28,7 @@ logger = logging.getLogger(__name__)
 GIMBAL_MARGIN = 1e-6
 MIN_OBSERVATIONS = 4
 # fit_pose's stopping rules (see its docstring): relative cost decrease,
-# scaled step and scaled gradient.
+# scaled step and scaled gradient. The sequence smoother stops on the first.
 _COST_TOL = 1e-6
 _STEP_TOL = 1e-10
 _GRADIENT_TOL = 1e-4
@@ -416,9 +416,6 @@ _JERK_Q = np.array([[1 / 20, 1 / 8, 1 / 6], [1 / 8, 1 / 3, 1 / 2], [1 / 6, 1 / 2
 # cut-offs from 0.01 rad/frame (0.05 Hz at 30 Hz) to far beyond Nyquist.
 _JERK_DENSITIES = 10.0 ** np.arange(-12.0, 8.25, 0.5)
 _SMOOTHER_MAX_PASSES = 100
-# The passes stop once no parameter moves by more than this fraction of its
-# per-frame standard deviation.
-_SMOOTHER_SETTLE = 1e-3
 # A pooled residual below this is the fits' own rounding, not measurement
 # noise: such runs are noise-free and keep their per-frame fits.
 _NOISE_FREE_PX = 1e-6
@@ -556,9 +553,10 @@ def _smooth_poses(
     the frames with full-rank Jacobians, which pick the jerk densities.
     Each pass is a Levenberg-Marquardt step on that objective, damping each
     fitted frame's information on Nielsen's schedule (Madsen, Nielsen &
-    Tingleff, 2004); the undamped step that settles skips the cost test, as
-    its change in cost can be rounding. Returns the smoothed poses, the
-    number of passes and whether the pose settled.
+    Tingleff, 2004): a step is kept only if it lowers the objective, and the
+    passes stop, as :func:`fit_pose` does, once a kept step lowers it by at
+    most ``_COST_TOL`` of its value. Returns the smoothed poses, the number
+    of passes and whether the passes settled.
     """
     T = int(t[-1]) + 1
     JtJ, Jtr = _normal_equations(theta, stack, intrinsics)
@@ -593,17 +591,12 @@ def _smooth_poses(
     # with the step.
     z = np.zeros((T, 18))
     z[t, ::3] = xi
-    current, lam, growth = cost(z), 0.0, 2.0
+    current, lam, growth, settled = cost(z), 0.0, 2.0, False
     for passes in range(1, _SMOOTHER_MAX_PASSES + 1):
         info, grad = JtJ * scale[:, None] * scale, Jtr * scale
-        step, rhs = _gauss_newton_step(z, t, F, G, info, grad)
-        if settled := bool(np.max(np.abs(step[t, ::3])) <= _SMOOTHER_SETTLE * noise):
-            z += step
-            break
         # A refused step is retried from the same linearization, more damped.
         while lam < 1e12:
-            if lam > 0:
-                step, rhs = _gauss_newton_step(z, t, F, G, info + lam * _EYE6, grad)
+            step, rhs = _gauss_newton_step(z, t, F, G, info + lam * _EYE6, grad)
             new = cost(z + step)
             if new < current:
                 break
@@ -613,7 +606,10 @@ def _smooth_poses(
         if lam > 0:
             gain = (current - new) / (0.5 * (np.sum(rhs * step) + lam * np.sum(step[t, ::3] ** 2)))
             lam, growth = lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 2.0
+        settled = current - new <= _COST_TOL * current
         z, current = z + step, new
+        if settled:
+            break
         JtJ, Jtr = _normal_equations(mean + scale * z[t, ::3], stack, intrinsics)
     return mean + scale * z[t, ::3], passes, settled
 
@@ -721,12 +717,12 @@ def track_sequence(
       current smoothed pose, with full covariance sigma^2 (J^T J)^-1: J is
       taken at the smoothed pose and sigma^2 is pooled over the run from the
       per-frame fits' residuals;
-    - it re-linearizes at the smoothed pose until no parameter moves by more
-      than 1e-3 of its per-frame standard deviation (at most 100 passes),
-      which makes it Gauss-Newton on the whole run's objective (Bell, SIAM
-      J. Optim. 4(3), 1994); a pass that would raise it, cross the gimbal
-      guard or put a feature behind the camera is damped until it does not
-      (Sarkka & Svensson, ICASSP 2020);
+    - it re-linearizes at the smoothed pose until a pass lowers the whole
+      run's objective by at most 1e-6 of its value, the rule that ends
+      :func:`fit_pose` (at most 100 passes), which makes it Gauss-Newton on
+      that objective (Bell, SIAM J. Optim. 4(3), 1994); a pass that would
+      raise it, cross the gimbal guard or put a feature behind the camera is
+      damped until it does not (Sarkka & Svensson, ICASSP 2020);
     - each parameter's jerk density maximizes the likelihood of the
       innovations of the per-frame fits over a grid.
 

@@ -189,6 +189,30 @@ def test_noisy_frames_report_converged(noise_pair_runs):
     assert ok, "\n" + block
 
 
+def test_shipped_chain_ap_agreement(noise_pair_runs):
+    # The chain `swaykin track` ships: the smoothed poses with short gaps
+    # interpolated, and no Savitzky-Golay pass after them.
+    _, _, track = noise_pair_runs
+    model = default_target("lumbar")
+    traj = interpolate_gaps(_trajectory_from_track(track, model), max_gap_sec=0.2)
+    truth = _anatomical_truth(generate_trajectory(SwayProfile()), model)
+    report = bland_altman(truth[traj.valid, 0], traj.axis("AP")[traj.valid])
+    lo, hi = report.loa_mm
+    ok, block = _report(
+        [
+            ("|bias| < 0.01 mm", abs(report.bias_mm) < 0.01, f"bias={report.bias_mm:+.4f} mm"),
+            (
+                "limits of agreement within [-0.52, 0.52] mm",
+                lo > -0.52 and hi < 0.52,
+                f"loa=({lo:+.3f}, {hi:+.3f}) mm",
+            ),
+            ("slope 1.00 +/- 0.01", abs(report.slope - 1.0) < 0.01, f"slope={report.slope:.4f}"),
+            ("r^2 > 0.97", report.r2 > 0.97, f"r2={report.r2:.4f}"),
+        ]
+    )
+    assert ok, "\n" + block
+
+
 # ---------------------------------------------------------------------------
 # 2. noiseless pose recovery
 

@@ -56,6 +56,12 @@ def test_unknown_command_is_usage_error():
     assert main(["transmogrify"]) == 2
 
 
+@pytest.mark.parametrize("command", [["simulate", "--scenario", "s.json"], ["track", "--config", "c.json"]])
+def test_jobs_is_not_an_option(capsys, command):
+    assert main([*command, "--out", "o", "--jobs", "2"]) == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 

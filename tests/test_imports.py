@@ -1,4 +1,4 @@
-"""Which scipy modules a command loads.
+"""What the package exports, and which scipy modules a command loads.
 
 A command imports only what it calls: ``import swaykin.cli`` and the
 ``analyze`` and ``agree`` commands need no scipy, and a feature-CSV ``track``
@@ -6,6 +6,7 @@ needs only ``scipy.linalg``. Each case runs in a fresh interpreter, so
 modules that other tests imported cannot hide a top-level import.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+import swaykin
 from swaykin import SwayTrajectory, fileio
 from swaykin.cli import main
 
@@ -90,3 +92,9 @@ def test_feature_csv_track_loads_only_scipy_linalg(tmp_path):
     assert "scipy.linalg" in steps[1]
     for name in ("scipy.ndimage", "scipy.optimize", "scipy.spatial"):
         assert not [m for m in steps[1] if m == name or m.startswith(name + ".")], name
+
+
+def test_all_is_what_the_package_imports():
+    tree = ast.parse((SRC / "swaykin" / "__init__.py").read_text())
+    imported = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert sorted(swaykin.__all__) == sorted(imported)

@@ -8,6 +8,7 @@ from swaykin import (
     BehindCameraError,
     CameraIntrinsics,
     FeatureObservation,
+    GeometricTargetModel,
     GimbalLockError,
     InsufficientCorrespondenceError,
     KinematicParams,
@@ -25,6 +26,7 @@ from swaykin import (
     render_observations,
     reprojection_residuals,
     track_sequence,
+    validate_asymmetry,
 )
 from swaykin.pose import _jacobian, _residuals_array
 
@@ -299,6 +301,24 @@ def test_initialize_tilted_target():
     npt.assert_allclose(_theta_array(got), _theta_array(theta), atol=1e-4)
 
 
+@pytest.mark.parametrize(
+    "theta",
+    [
+        KinematicParams(0.05, -0.04, 0.03, 10.0, -5.0, 1000.0),
+        KinematicParams(0.3, 0.2, -0.2, 80.0, 60.0, 1400.0),
+    ],
+)
+def test_initialize_non_planar_target(theta):
+    # Every third feature raised 8 mm off the board: initialization fits
+    # from the frontal prior at the nominal depth, not from a homography.
+    points = MODEL.points.copy()
+    points[::3, 2] += 8.0
+    model = GeometricTargetModel("raised", points)
+    validate_asymmetry(model)
+    got = initialize_first_frame(model, _exact_obs(theta, model), INTR)
+    npt.assert_allclose(_theta_array(got), _theta_array(theta), atol=1e-6)
+
+
 def test_initialize_needs_four_points():
     theta = KinematicParams(0, 0, 0, 0, 0, 1000.0)
     with pytest.raises(InsufficientCorrespondenceError):
@@ -538,6 +558,18 @@ def test_track_smoother_settles_where_undamped_passes_do_not(caplog):
     assert "keeping the per-frame fits" not in caplog.text
     err = [rep.theta.theta6 - truth[i, 5] for i, rep in enumerate(track.reports) if rep is not None]
     assert np.std(err) < 0.6
+
+
+def test_track_smoother_settles_on_very_sparse_frames(caplog):
+    # 0.5 px noise and 70 % dropout: the smoother's steps shrink only
+    # linearly, and the per-frame fits have a depth error SD near 5 mm.
+    model = default_target("shoulder")
+    truth = generate_trajectory(SwayProfile(duration_sec=20, seed=7))
+    frames = render_observations(truth, model, INTR, NoiseSpec(0.5, 0.7, 7))
+    track = track_sequence(frames, model, INTR)
+    assert "keeping the per-frame fits" not in caplog.text
+    err = [rep.theta.theta6 - truth[i, 5] for i, rep in enumerate(track.reports) if rep is not None]
+    assert np.std(err) < 1.0
 
 
 def test_track_noiseless_keeps_per_frame_fits():
