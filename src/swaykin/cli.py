@@ -227,13 +227,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         base_pose = synth.DEFAULT_BASE_POSE
     image_size = tuple(sc.get("image_size", synth.DEFAULT_IMAGE_SIZE))
+    M0 = pose.motion_matrix(base_pose)
+    board_T = camera.RigidTransform(M0[:3, :3], M0[:3, 3])
+    if args.render_frames:
+        for name, model in targets:
+            centers = camera.project(intr, board_T, model.points, apply_distortion=True)
+            if np.any(synth.outside_image(centers, image_size)):
+                raise ConfigError(
+                    f"target '{name}' at the base pose does not fit inside image_size {list(image_size)}"
+                )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     theta = synth.generate_trajectory(profile, base_pose)
-    M0 = pose.motion_matrix(base_pose)
-    board_T = camera.RigidTransform(M0[:3, :3], M0[:3, 3])
     frame = anatomy.AnatomicalFrame.from_transform(board_T)
 
     fileio.save_intrinsics(out / "intrinsics.json", intr)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +27,7 @@ THRESHOLD_FRACTION = 0.5
 NMS_RADIUS = 8
 REFINE_RADIUS = 5
 
-# Gap frames named in detect_sequence's warning; the rest are counted.
+# Frames named in a warning about a whole sequence; the rest are counted.
 _GAPS_SHOWN = 5
 
 # Structure-tensor conditioning limit for sub-pixel refinement.
@@ -375,12 +375,16 @@ def detect_sequence(
         anchor = np.stack([m.position for m in matched]) if len(matched) == len(mp) else None
         out.append(matched)
     if gaps:
-        shown = ", ".join(gaps[:_GAPS_SHOWN]) + (", ..." if len(gaps) > _GAPS_SHOWN else "")
         logger.warning(
             "%d of %d frames have no usable correspondence and are gaps: %s",
-            len(gaps), len(out), shown,
+            len(gaps), len(out), _first_frames(gaps),
         )
     return out
+
+
+def _first_frames(frames: Sequence[object]) -> str:
+    """The first few of ``frames``, for a warning that counts them all."""
+    return ", ".join(map(str, frames[:_GAPS_SHOWN])) + (", ..." if len(frames) > _GAPS_SHOWN else "")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from swaykin import camera
-from swaykin.features import FeatureObservation, InsufficientCorrespondenceError
+from swaykin.features import FeatureObservation, InsufficientCorrespondenceError, _first_frames
 
 if TYPE_CHECKING:
     from swaykin.target import GeometricTargetModel
@@ -27,11 +27,14 @@ logger = logging.getLogger(__name__)
 
 GIMBAL_MARGIN = 1e-6
 MIN_OBSERVATIONS = 4
-# fit_pose's stopping rules (see its docstring): relative cost decrease,
-# scaled step and scaled gradient. The sequence smoother stops on the first.
+# fit_pose's stopping rules (see its docstring): relative cost decrease and
+# scaled gradient. The sequence smoother stops on the first.
 _COST_TOL = 1e-6
-_STEP_TOL = 1e-10
 _GRADIENT_TOL = 1e-4
+# A residual below this per feature is rounding, not measurement noise: a fit
+# that reaches it has converged, and a run whose pooled residual is below it is
+# noise-free and keeps its per-frame fits.
+_NOISE_FREE_PX = 1e-6
 # Levenberg-Marquardt damping: its start (also the smoother's, after a refused
 # pass), and the factor by which fit_pose raises it on a refused step and
 # lowers it on an accepted one.
@@ -134,11 +137,11 @@ class FitReport:
 
     ``rms_residual_px`` (per feature), ``covariance_diag`` (diag((J^T J)^-1),
     a covariance proxy per px^2 of noise variance) and ``degenerate`` (J has
-    rank < 6) are evaluated at ``theta``. ``iterations`` counts the frame's
-    Levenberg-Marquardt iterations, and ``converged`` is True exactly when one
-    of :func:`fit_pose`'s stopping rules fired. A smoothed track keeps
-    both from the frame's own fit: it only carries smoothed poses once the
-    smoother has settled.
+    rank < 6) are evaluated once, at ``theta``. ``iterations`` counts the
+    frame's Levenberg-Marquardt iterations, and ``converged`` is True exactly
+    when one of :func:`fit_pose`'s stopping rules (cost decrease, gradient or
+    noise floor) fired. A smoothed track keeps both from the frame's own fit:
+    it only carries smoothed poses once the smoother has settled.
     """
 
     theta: KinematicParams
@@ -241,19 +244,85 @@ def _jacobian(
     return J.reshape(J.shape[:-3] + (-1, 6))
 
 
-def _covariance_proxy(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """diag((J^T J)^+) and the rank-deficiency flag of Jacobians (..., 2m, 6)."""
-    sv = np.linalg.svd(J, compute_uv=False)
-    degenerate = sv[..., -1] < 1e-10 * sv[..., 0]
-    cov = np.diagonal(np.linalg.pinv(np.swapaxes(J, -1, -2) @ J), axis1=-2, axis2=-1)
-    return cov.copy(), degenerate
+def _fit(
+    th: np.ndarray,
+    points: np.ndarray,
+    obs_uv: np.ndarray,
+    intrinsics: camera.CameraIntrinsics,
+    max_iterations: int,
+) -> tuple[np.ndarray, int, bool]:
+    """The Levenberg-Marquardt loop of :func:`fit_pose` from pose ``th`` (6,)
+    on target points (m, 3) observed at ``obs_uv`` (m, 2): the final pose, the
+    number of iterations and whether a stopping rule fired."""
+    r = _residuals_array(th, points, obs_uv, intrinsics)
+    cost = float(r @ r)
+    if not math.isfinite(cost):
+        raise ValueError("objective is not finite at the initial parameters")
+
+    floor = len(points) * _NOISE_FREE_PX**2
+    lam = _INIT_LAMBDA
+    converged = False
+    iterations = 0
+    J = _jacobian(th, points, obs_uv, intrinsics)
+    while iterations < max_iterations:
+        scale = np.linalg.norm(J, axis=0)
+        g = J.T @ r
+        cols = scale > 0
+        if cost <= floor or np.all(np.abs(g[cols]) / (scale[cols] * math.sqrt(cost)) <= _GRADIENT_TOL):
+            converged = True
+            break
+        iterations += 1
+        JtJ = J.T @ J
+        while lam < 1e12:
+            try:
+                step = np.linalg.solve(JtJ + lam * _EYE6, -g)
+            except np.linalg.LinAlgError:
+                lam *= _LAMBDA_FACTOR
+                continue
+            cand = th + step
+            # Steps that cross the gimbal guard or put a feature behind the
+            # camera are refused; more damping shortens them.
+            if abs(cand[1]) >= math.pi / 2 - GIMBAL_MARGIN:
+                lam *= _LAMBDA_FACTOR
+                continue
+            try:
+                r_new = _residuals_array(cand, points, obs_uv, intrinsics)
+            except camera.BehindCameraError:
+                lam *= _LAMBDA_FACTOR
+                continue
+            cost_new = float(r_new @ r_new)
+            if not math.isfinite(cost_new):
+                raise ValueError("objective became non-finite during optimization")
+            if cost_new < cost:
+                converged = cost - cost_new <= _COST_TOL * cost
+                th, r, cost = cand, r_new, cost_new
+                lam /= _LAMBDA_FACTOR
+                break
+            lam *= _LAMBDA_FACTOR
+        else:
+            break
+        if converged:
+            break
+        J = _jacobian(th, points, obs_uv, intrinsics)
+    return th, iterations, converged
 
 
-def _gradient_settled(g: np.ndarray, scale: np.ndarray, cost: float) -> bool:
-    if cost == 0.0:
-        return True
-    cosines = np.abs(g)[scale > 0] / (scale[scale > 0] * math.sqrt(cost))
-    return bool(np.all(cosines <= _GRADIENT_TOL))
+def _evaluate(
+    theta: np.ndarray,
+    stack: tuple[np.ndarray, np.ndarray, np.ndarray],
+    intrinsics: camera.CameraIntrinsics,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """RMS residual per feature (F,), the covariance proxy diag((J^T J)^+)
+    (F, 6) and the rank-deficiency flag (F,) of the frames of ``stack`` (see
+    :func:`_stack_observations`) at poses ``theta`` (F, 6)."""
+    m = np.sum(stack[2], axis=1) / 2
+    rms, cov, degenerate = np.empty(len(m)), np.empty((len(m), 6)), np.empty(len(m), dtype=bool)
+    for chunk, r, J in _linearize(theta, stack, intrinsics):
+        rms[chunk] = np.sqrt(np.sum(r**2, axis=1) / m[chunk])
+        sv = np.linalg.svd(J, compute_uv=False)
+        degenerate[chunk] = sv[:, -1] < 1e-10 * sv[:, 0]
+        cov[chunk] = np.diagonal(np.linalg.pinv(np.swapaxes(J, 1, 2) @ J), axis1=1, axis2=2)
+    return rms, cov, degenerate
 
 
 def fit_pose(
@@ -267,104 +336,34 @@ def fit_pose(
     """Levenberg-Marquardt fit of the kinematic parameters to observations.
 
     Damping starts at 1e-3, falls tenfold on an accepted step and rises
-    tenfold on a refused one. The stopping rules are relative, so one value
-    serves radians and millimeters alike (Madsen, Nielsen & Tingleff,
-    *Methods for Non-Linear Least Squares Problems*, 2004). With D the
-    Jacobian's column norms (pixels per unit of each parameter), the fit has
-    converged when
+    tenfold on a refused one; a step is refused if it raises the cost,
+    crosses the gimbal guard or puts a feature behind the camera. The
+    stopping rules are relative, so one value serves radians and millimeters
+    alike (Madsen, Nielsen & Tingleff, *Methods for Non-Linear Least Squares
+    Problems*, 2004). The fit has converged when
 
     - an accepted step lowers the cost by at most 1e-6 of its value;
-    - the proposed step h has ||D h|| <= 1e-10 (||D theta|| + 1e-10), unless
-      the last larger step was refused by the gimbal guard or for putting a
-      feature behind the camera: a constraint, not a minimum, then holds the
-      fit, and it ends unconverged;
     - the scaled gradient, the largest cosine between the residual vector
-      and a Jacobian column, is at most 1e-4.
+      and a Jacobian column, is at most 1e-4;
+    - the cost is at most m (1e-6 px)^2 for m features: the observations
+      are met to rounding.
 
     It stops unconverged after ``max_iterations`` or when no damping yields
-    a lower cost. The report flags ``degenerate`` when the final Jacobian has
-    rank < 6, and carries diag((J^T J)^-1) as a covariance proxy.
+    a lower cost. The report, evaluated at the returned pose, flags
+    ``degenerate`` when the Jacobian has rank < 6, and carries
+    diag((J^T J)^-1) as a covariance proxy.
     """
     if len(obs) < MIN_OBSERVATIONS:
         raise InsufficientCorrespondenceError(
             f"{len(obs)} observation(s); pose fitting needs at least {MIN_OBSERVATIONS}"
         )
     idx, obs_uv = _check_matched(obs)
-    points = model.points[idx]
-
-    th = init.as_array()
-    r = _residuals_array(th, points, obs_uv, intrinsics)
-    cost = float(r @ r)
-    if not math.isfinite(cost):
-        raise ValueError("objective is not finite at the initial parameters")
-
-    lam = _INIT_LAMBDA
-    converged = False
-    iterations = 0
-    J = _jacobian(th, points, obs_uv, intrinsics)
-    while iterations < max_iterations:
-        scale = np.linalg.norm(J, axis=0)
-        g = J.T @ r
-        if _gradient_settled(g, scale, cost):
-            converged = True
-            break
-        iterations += 1
-        step_bound = _STEP_TOL * (np.linalg.norm(scale * th) + _STEP_TOL)
-        JtJ = J.T @ J
-        accepted = False
-        # Whether the last refused step crossed the gimbal guard or put a
-        # feature behind the camera, rather than raising the cost.
-        blocked = False
-        while lam < 1e12:
-            try:
-                step = np.linalg.solve(JtJ + lam * _EYE6, -g)
-            except np.linalg.LinAlgError:
-                lam *= _LAMBDA_FACTOR
-                continue
-            if np.linalg.norm(scale * step) <= step_bound:
-                converged = not blocked
-                break
-            cand = th + step
-            if abs(cand[1]) >= math.pi / 2 - GIMBAL_MARGIN:
-                # Reject steps that cross the gimbal guard; more damping
-                # shortens the step until it stays inside.
-                lam *= _LAMBDA_FACTOR
-                blocked = True
-                continue
-            try:
-                r_new = _residuals_array(cand, points, obs_uv, intrinsics)
-            except camera.BehindCameraError:
-                lam *= _LAMBDA_FACTOR
-                blocked = True
-                continue
-            cost_new = float(r_new @ r_new)
-            if not math.isfinite(cost_new):
-                raise ValueError("objective became non-finite during optimization")
-            blocked = False
-            if cost_new < cost:
-                converged = cost - cost_new <= _COST_TOL * cost
-                th, r, cost = cand, r_new, cost_new
-                lam /= _LAMBDA_FACTOR
-                accepted = True
-                break
-            lam *= _LAMBDA_FACTOR
-        if not accepted:
-            break
-        J = _jacobian(th, points, obs_uv, intrinsics)
-        if converged:
-            break
-
-    cov_diag, degenerate = _covariance_proxy(J)
-    if degenerate:
+    th, iterations, converged = _fit(init.as_array(), model.points[idx], obs_uv, intrinsics, max_iterations)
+    rms, cov, degenerate = _evaluate(th[None], _stack_observations(model, [obs]), intrinsics)
+    if degenerate[0]:
         logger.warning("pose Jacobian is rank deficient at theta %s", th)
-
     return FitReport(
-        theta=KinematicParams.from_array(th),
-        rms_residual_px=math.sqrt(cost / len(points)),
-        iterations=iterations,
-        converged=converged,
-        covariance_diag=cov_diag,
-        degenerate=bool(degenerate),
+        KinematicParams.from_array(th), float(rms[0]), iterations, converged, cov[0], bool(degenerate[0])
     )
 
 
@@ -416,9 +415,6 @@ _JERK_Q = np.array([[1 / 20, 1 / 8, 1 / 6], [1 / 8, 1 / 3, 1 / 2], [1 / 6, 1 / 2
 # cut-offs from 0.01 rad/frame (0.05 Hz at 30 Hz) to far beyond Nyquist.
 _JERK_DENSITIES = 10.0 ** np.arange(-12.0, 8.25, 0.5)
 _SMOOTHER_MAX_PASSES = 100
-# A pooled residual below this is the fits' own rounding, not measurement
-# noise: such runs are noise-free and keep their per-frame fits.
-_NOISE_FREE_PX = 1e-6
 # Frames linearized at once, which bounds the Jacobian's temporaries.
 _CHUNK_FRAMES = 256
 
@@ -639,60 +635,6 @@ def _gauss_newton_step(
     return solveh_banded(ab, rhs.ravel(), overwrite_ab=True, lower=True).reshape(T, 18), rhs
 
 
-def _smooth_track(
-    track: PoseTrack,
-    frames: Sequence[Sequence[FeatureObservation]],
-    model: "GeometricTargetModel",
-    intrinsics: camera.CameraIntrinsics,
-) -> PoseTrack:
-    """``track`` with its fitted frames' poses smoothed over the run, or
-    ``track`` itself where the smoother does not apply or fails."""
-    fitted = [i for i, rep in enumerate(track.reports) if rep is not None]
-    fits = [track.reports[i] for i in fitted]
-    m = np.array([len(frames[i]) for i in fitted])
-    sigma2 = sum(rep.rms_residual_px**2 * k for rep, k in zip(fits, m)) / float(np.sum(2 * m - 6))
-    informative = np.array([not rep.degenerate for rep in fits])
-    if sigma2 <= _NOISE_FREE_PX**2 or informative.sum() < 3:
-        return track
-
-    stack = _stack_observations(model, [frames[i] for i in fitted])
-    try:
-        theta, passes, settled = _smooth_poses(
-            np.array([rep.theta.as_array() for rep in fits]),
-            np.array(fitted) - fitted[0],
-            informative,
-            stack,
-            sigma2,
-            intrinsics,
-        )
-        if not settled:
-            logger.warning(
-                "pose smoother did not settle in %d passes; keeping the per-frame fits", passes
-            )
-            return track
-        rms = np.empty(len(fitted))
-        cov = np.empty((len(fitted), 6))
-        degenerate = np.empty(len(fitted), dtype=bool)
-        for chunk, r, J in _linearize(theta, stack, intrinsics):
-            rms[chunk] = np.sqrt(np.sum(r**2, axis=1) / m[chunk])
-            cov[chunk], degenerate[chunk] = _covariance_proxy(J)
-    except (camera.BehindCameraError, np.linalg.LinAlgError) as e:
-        logger.warning("pose smoother failed (%s); keeping the per-frame fits", e)
-        return track
-    logger.debug("pose smoother settled after %d passes", passes)
-    reports = list(track.reports)
-    for f, (i, rep) in enumerate(zip(fitted, fits)):
-        reports[i] = FitReport(
-            theta=KinematicParams.from_array(theta[f]),
-            rms_residual_px=float(rms[f]),
-            iterations=rep.iterations,
-            converged=rep.converged,
-            covariance_diag=cov[f],
-            degenerate=bool(degenerate[f]),
-        )
-    return PoseTrack(track.rate_hz, reports, track.statuses)
-
-
 def track_sequence(
     frames: Sequence[Sequence[FeatureObservation]],
     model: "GeometricTargetModel",
@@ -704,8 +646,8 @@ def track_sequence(
     The first fittable frame is initialized closed-form; each later frame
     starts from the most recent fit. Frames with fewer than 4 matched
     observations (or where initialization or fitting fails) get status
-    ``gap`` and no report, and stay gaps. Raises :class:`TrackingError` if
-    nothing fits.
+    ``gap`` and no report, and stay gaps; the frames that fail are named in
+    one warning. Raises :class:`TrackingError` if nothing fits.
 
     The per-frame fits then seed an iterated fixed-interval Rauch-Tung-
     Striebel smoother over the 6-DOF pose (Rauch, Tung & Striebel, AIAA J.
@@ -733,28 +675,61 @@ def track_sequence(
     per-frame fits. So does a run whose smoother has not settled after 100
     passes or finds no damping that lowers the objective; a warning is
     logged. Every report describes the pose it returns: residual, covariance
-    proxy and degeneracy are evaluated at the smoothed pose.
+    proxy and degeneracy are evaluated once, at the returned pose, and the
+    rank-deficient frames among them are named in one warning.
     """
-    reports: list[FitReport | None] = []
-    statuses: list[str] = []
-    prev: KinematicParams | None = None
+    fitted: list[int] = []
+    fits: list[tuple[np.ndarray, int, bool]] = []
+    failed: list[int] = []
     for i, obs in enumerate(frames):
         if len(obs) < MIN_OBSERVATIONS:
-            reports.append(None)
-            statuses.append("gap")
             continue
         try:
-            init = prev if prev is not None else initialize_first_frame(model, obs, intrinsics)
-            report = fit_pose(init, model, obs, intrinsics)
+            init = fits[-1][0] if fits else initialize_first_frame(model, obs, intrinsics).as_array()
+            idx, uv = _check_matched(obs)
+            fits.append(_fit(init, model.points[idx], uv, intrinsics, 100))
+            fitted.append(i)
         except (GimbalLockError, camera.DegenerateGeometryError, camera.BehindCameraError) as e:
-            logger.warning("frame %d: %s; marking gap", i, e)
-            reports.append(None)
-            statuses.append("gap")
-            continue
-        reports.append(report)
-        statuses.append("fitted")
-        prev = report.theta
-    if prev is None:
+            logger.debug("frame %d: %s; marking gap", i, e)
+            failed.append(i)
+    if failed:
+        logger.warning(
+            "%d of %d frames could not be fitted and are gaps: %s",
+            len(failed), len(frames), _first_frames(failed),
+        )
+    if not fits:
         raise TrackingError("no frame in the sequence could be fitted")
-    track = PoseTrack(rate_hz=rate_hz, reports=reports, statuses=statuses)
-    return _smooth_track(track, frames, model, intrinsics)
+
+    stack = _stack_observations(model, [frames[i] for i in fitted])
+    theta = np.array([th for th, _, _ in fits])
+    rms, cov, degenerate = _evaluate(theta, stack, intrinsics)
+    m = np.sum(stack[2], axis=1) / 2
+    sigma2 = float(np.sum(rms**2 * m) / np.sum(2 * m - 6))
+    if sigma2 > _NOISE_FREE_PX**2 and np.sum(~degenerate) >= 3:
+        try:
+            smoothed, passes, settled = _smooth_poses(
+                theta, np.array(fitted) - fitted[0], ~degenerate, stack, sigma2, intrinsics
+            )
+            if settled:
+                rms, cov, degenerate = _evaluate(smoothed, stack, intrinsics)
+                theta = smoothed
+                logger.debug("pose smoother settled after %d passes", passes)
+            else:
+                logger.warning(
+                    "pose smoother did not settle in %d passes; keeping the per-frame fits", passes
+                )
+        except (camera.BehindCameraError, np.linalg.LinAlgError) as e:
+            logger.warning("pose smoother failed (%s); keeping the per-frame fits", e)
+    if np.any(degenerate):
+        rank_deficient = [fitted[f] for f in np.flatnonzero(degenerate)]
+        logger.warning(
+            "pose Jacobian is rank deficient on %d of %d frames: %s",
+            len(rank_deficient), len(frames), _first_frames(rank_deficient),
+        )
+
+    reports: list[FitReport | None] = [None] * len(frames)
+    for f, (i, (_, iterations, converged)) in enumerate(zip(fitted, fits)):
+        th = KinematicParams.from_array(theta[f])
+        reports[i] = FitReport(th, float(rms[f]), iterations, converged, cov[f], bool(degenerate[f]))
+    statuses = ["gap" if rep is None else "fitted" for rep in reports]
+    return PoseTrack(rate_hz=rate_hz, reports=reports, statuses=statuses)

@@ -14,7 +14,7 @@ import numpy as np
 
 from swaykin import camera
 from swaykin.features import FeatureObservation
-from swaykin.pose import KinematicParams, motion_matrix
+from swaykin.pose import KinematicParams, _rotation, motion_matrix
 from swaykin.target import GeometricTargetModel
 
 logger = logging.getLogger(__name__)
@@ -96,11 +96,6 @@ def generate_trajectory(
     return theta
 
 
-def _transform_points(theta_row: np.ndarray, points: np.ndarray) -> np.ndarray:
-    M = motion_matrix(KinematicParams.from_array(theta_row))
-    return points @ M[:3, :3].T + M[:3, 3]
-
-
 def render_observations(
     theta_seq: np.ndarray,
     model: GeometricTargetModel,
@@ -115,12 +110,11 @@ def render_observations(
     given probability. Observation scores are 1.
     """
     seq = np.asarray(theta_seq, dtype=float)
+    pts = model.points @ np.swapaxes(_rotation(seq[:, :3]), -1, -2) + seq[:, None, 3:]
+    projected = camera.project(intrinsics, camera.RigidTransform.identity(), pts, apply_distortion=True)
     rng = np.random.default_rng(noise.seed)
     frames = []
-    identity = camera.RigidTransform.identity()
-    for row in seq:
-        pts = _transform_points(row, model.points)
-        uv = camera.project(intrinsics, identity, pts, apply_distortion=True)
+    for uv in projected:
         keep = rng.random(len(uv)) >= noise.dropout
         jitter = rng.normal(0.0, noise.sigma_px, uv.shape) if noise.sigma_px > 0 else 0.0
         uv = uv + jitter
@@ -148,19 +142,19 @@ def render_frame(
     Each feature becomes a 2x2 checker junction whose edges follow the
     projected target axes; intensities cross each edge as a smooth cubic
     ramp of half-width ``aa_px`` so the junction center lands at the exact
-    projection. Features whose patch would leave the image are skipped with
-    a warning. Returns a float image in [0, 1] of shape ``image_size``
-    (height, width).
+    projection. Features whose patch would leave the image (see
+    :func:`outside_image`) are skipped, and counted in one warning. Returns a
+    float image in [0, 1] of shape ``image_size`` (height, width).
     """
     h, w = image_size
     img = np.full((h, w), 0.5)
     identity = camera.RigidTransform.identity()
-    pts = _transform_points(theta.as_array(), model.points)
+    M = motion_matrix(theta)
+    pts = model.points @ M[:3, :3].T + M[:3, 3]
     centers = camera.project(intrinsics, identity, pts, apply_distortion=True)
 
     # In-image directions of the target's x/y axes at each feature.
     eps = 1.0  # mm
-    M = motion_matrix(theta)
     axis_x = camera.project(
         intrinsics, identity, pts + eps * M[:3, 0], apply_distortion=True
     )
@@ -168,11 +162,11 @@ def render_frame(
         intrinsics, identity, pts + eps * M[:3, 1], apply_distortion=True
     )
 
-    margin = patch_half_px + aa_px + 1.0
-    for i, c in enumerate(centers):
-        if not (margin <= c[0] < w - margin and margin <= c[1] < h - margin):
-            logger.warning("feature %d at (%.1f, %.1f) outside image; skipped", i, c[0], c[1])
-            continue
+    outside = outside_image(centers, image_size, patch_half_px, aa_px)
+    if np.any(outside):
+        logger.warning("%d of %d features outside the image; skipped", np.sum(outside), len(centers))
+    for i in np.flatnonzero(~outside):
+        c = centers[i]
         e1 = axis_x[i] - c
         e2 = axis_y[i] - c
         e1 /= np.linalg.norm(e1)
@@ -194,3 +188,18 @@ def render_frame(
         patch = img[lo_v:hi_v, lo_u:hi_u]
         patch[inside] = 0.5 + contrast * (h1 * h2)[inside]
     return img
+
+
+def outside_image(
+    centers: np.ndarray,
+    image_size: tuple[int, int],
+    patch_half_px: float = 10.0,
+    aa_px: float = 1.0,
+) -> np.ndarray:
+    """Mask (n,) of the feature centers (n, 2) whose patch, as
+    :func:`render_frame` draws it with the same ``patch_half_px`` and
+    ``aa_px``, would leave an image of ``image_size`` (height, width)."""
+    h, w = image_size
+    margin = patch_half_px + aa_px + 1.0
+    u, v = centers[:, 0], centers[:, 1]
+    return ~((margin <= u) & (u < w - margin) & (margin <= v) & (v < h - margin))

@@ -328,6 +328,17 @@ def frames_sim_dir(tmp_path_factory):
     return root / "out"
 
 
+def test_simulate_rejects_target_outside_image(tmp_path, caplog):
+    # The default intrinsics put the principal point at (1024, 1024), far
+    # outside a 256x256 image: every frame would be blank.
+    sc = {"duration_sec": 0.3, "rate_hz": 30.0, "image_size": [256, 256], "targets": ["lumbar"]}
+    (tmp_path / "s.json").write_text(json.dumps(sc))
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", str(tmp_path / "s.json"), "--out", str(out), "--render-frames"]) == 2
+    assert "target 'lumbar'" in caplog.text and "[256, 256]" in caplog.text
+    assert not list(tmp_path.glob("**/frames_*"))
+
+
 def test_simulate_renders_frames(frames_sim_dir):
     frames = sorted((frames_sim_dir / "frames_lumbar").glob("*.pgm"))
     assert len(frames) == 10

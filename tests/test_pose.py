@@ -532,6 +532,39 @@ def test_track_keeps_per_frame_fits_when_smoother_fails(monkeypatch, caplog, fai
         assert rep.rms_residual_px == own.rms_residual_px
 
 
+def test_track_fit_failures_warn_once(monkeypatch, caplog):
+    from swaykin import pose
+
+    failing, calls, fit = {3, 7, 11, 15}, [], pose._fit
+
+    def fail_on_some(*args):
+        calls.append(None)
+        if len(calls) - 1 in failing:
+            raise BehindCameraError("feature 0 transformed behind the camera")
+        return fit(*args)
+
+    monkeypatch.setattr(pose, "_fit", fail_on_some)
+    frames, _ = _noisy_frames(30, seed=32)
+    track = track_sequence(frames, MODEL, INTR)
+    assert {i for i, s in enumerate(track.statuses) if s == "gap"} == failing
+    lines = [r.getMessage() for r in caplog.records if "could not be fitted" in r.getMessage()]
+    assert lines == ["4 of 30 frames could not be fitted and are gaps: 3, 7, 11, 15"]
+
+
+def test_track_rank_deficient_frames_warn_once(caplog):
+    # Frames 10-14 see only one row of the grid: four collinear points, which
+    # leave the rotation about that row unobserved.
+    frames, _ = _noisy_frames(30, seed=33)
+    row = {3, 4, 5, 6}
+    for k in range(10, 15):
+        frames[k] = [o for o in frames[k] if o.model_index in row]
+    track = track_sequence(frames, MODEL, INTR)
+    assert [i for i, rep in enumerate(track.reports) if rep.degenerate] == list(range(10, 15))
+    lines = [r.getMessage() for r in caplog.records if "rank deficient" in r.getMessage()]
+    assert len(lines) == 1
+    assert "5 of 30 frames: 10, 11, 12, 13, 14" in lines[0]
+
+
 def test_track_smoothing_beats_per_frame_fits_and_keeps_gaps():
     frames, truth = _noisy_frames(150, seed=29)
     frames[40] = frames[40][:3]

@@ -14,6 +14,7 @@ from swaykin import (
     default_target,
     detect_refined,
     generate_trajectory,
+    motion_matrix,
     project,
     render_frame,
     render_observations,
@@ -157,6 +158,27 @@ def test_observations_seeded_reproducible():
             assert a.model_index == b.model_index
 
 
+def test_observations_match_per_frame_reference():
+    # The reference projects and corrupts one frame at a time, drawing the
+    # dropout and then the noise of each frame from one stream.
+    model = default_target("lumbar")
+    intr = CameraIntrinsics(fx=4000, fy=4000, x0=1024, y0=1024, k1=-0.08)
+    theta = generate_trajectory(SwayProfile(duration_sec=2.0, seed=4))
+    noise = NoiseSpec(sigma_px=0.3, dropout=0.2, seed=9)
+    rng = np.random.default_rng(noise.seed)
+    want = []
+    for row in theta:
+        M = motion_matrix(KinematicParams.from_array(row))
+        uv = project(intr, RigidTransform.identity(), model.points @ M[:3, :3].T + M[:3, 3], apply_distortion=True)
+        keep = rng.random(len(uv)) >= noise.dropout
+        uv = uv + rng.normal(0.0, noise.sigma_px, uv.shape)
+        want.append([(i, uv[i]) for i in range(len(uv)) if keep[i]])
+    got = render_observations(theta, model, intr, noise)
+    assert [[o.model_index for o in f] for f in got] == [[i for i, _ in f] for f in want]
+    for frame, ref in zip(got, want):
+        npt.assert_array_equal([o.position for o in frame], [p for _, p in ref])
+
+
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(sigma_px=-0.1)
@@ -196,7 +218,7 @@ def test_render_frame_offscreen_target_uniform(caplog):
     with caplog.at_level("WARNING"):
         img = render_frame(theta, model, intrinsics=intr, image_size=(280, 280))
     npt.assert_array_equal(img, np.full((280, 280), 0.5))
-    assert len(caplog.records) == 16
+    assert [r.getMessage() for r in caplog.records] == ["16 of 16 features outside the image; skipped"]
 
 
 def test_render_frame_patch_size_does_not_move_centers():
