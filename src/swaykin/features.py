@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 
@@ -60,7 +61,7 @@ class FeatureObservation:
 
     def __post_init__(self) -> None:
         p = np.asarray(self.position, dtype=float).reshape(2)
-        if not np.all(np.isfinite(p)):
+        if not all(map(math.isfinite, p.tolist())):
             raise ValueError("feature position must be finite")
         object.__setattr__(self, "position", p)
 

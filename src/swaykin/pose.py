@@ -3,7 +3,9 @@
 The kinematic state is six parameters: three Z-Y-X Euler angles (radians)
 followed by three camera-frame translations (millimeters). Each frame is
 fitted by a damped Levenberg-Marquardt loop on its reprojection residuals,
-using their closed-form Jacobian, warm-started from the previous frame.
+warm-started from the previous frame. Each trial pose is projected once, and
+the closed-form Jacobian, by the scalar triple product, is built from that
+projection when the trial is accepted.
 :func:`track_sequence` then smooths the whole run with an iterated
 Rauch-Tung-Striebel smoother under a white-jerk prior on each parameter, so
 the poses it reports use every frame's information, not only their own.
@@ -89,21 +91,20 @@ class KinematicParams:
 
 
 def _rotation(angles: np.ndarray) -> np.ndarray:
-    """Rotation matrices Rz(t1) Ry(t2) Rx(t3) for Euler angles of shape (..., 3)."""
-    c, s = np.cos(angles), np.sin(angles)
-    c1, c2, c3 = c[..., 0], c[..., 1], c[..., 2]
-    s1, s2, s3 = s[..., 0], s[..., 1], s[..., 2]
-    R = np.empty(np.shape(angles)[:-1] + (3, 3))
-    R[..., 0, 0] = c1 * c2
-    R[..., 0, 1] = c1 * s2 * s3 - s1 * c3
-    R[..., 0, 2] = c1 * s2 * c3 + s1 * s3
-    R[..., 1, 0] = s1 * c2
-    R[..., 1, 1] = s1 * s2 * s3 + c1 * c3
-    R[..., 1, 2] = s1 * s2 * c3 - c1 * s3
-    R[..., 2, 0] = -s2
-    R[..., 2, 1] = c2 * s3
-    R[..., 2, 2] = c2 * c3
-    return R
+    """Rotation matrices Rz(t1) Ry(t2) Rx(t3) for Euler angles of shape (..., 3).
+    A single pose takes its sines and cosines on floats, which costs far less
+    than array functions on three numbers."""
+    if angles.ndim == 1:
+        t = angles.tolist()
+        (c1, c2, c3), (s1, s2, s3) = map(math.cos, t), map(math.sin, t)
+    else:
+        (c1, c2, c3), (s1, s2, s3) = np.moveaxis(np.cos(angles), -1, 0), np.moveaxis(np.sin(angles), -1, 0)
+    R = np.array([
+        c1 * c2, c1 * s2 * s3 - s1 * c3, c1 * s2 * c3 + s1 * s3,
+        s1 * c2, s1 * s2 * s3 + c1 * c3, s1 * s2 * c3 - c1 * s3,
+        -s2, c2 * s3, c2 * c3,
+    ])
+    return R.reshape(9, -1).T.reshape(angles.shape[:-1] + (3, 3))
 
 
 def motion_matrix(theta: KinematicParams) -> np.ndarray:
@@ -184,19 +185,62 @@ def _check_matched(obs: Sequence[FeatureObservation]) -> tuple[np.ndarray, np.nd
     return idx, pts
 
 
+# q @ _CROSS, reshaped to (..., 3, 3), is the matrix [q]x^T: v @ it = q x v.
+_CROSS = np.cross(np.eye(3)[:, None], np.eye(3)).reshape(3, 9)
+
+
+def _project(
+    th: np.ndarray, points: np.ndarray, obs_uv: np.ndarray, intrinsics: camera.CameraIntrinsics
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Residuals (..., 2m) of poses th (..., 6) against matched target points
+    (..., m, 3) observed at obs_uv (..., m, 2), leading axes broadcasting,
+    and the state that :func:`_jacobian_from` takes: R, q = R p, 1/z and K n
+    for the normalized coordinates n."""
+    R = _rotation(th[..., :3])
+    q = points @ R.swapaxes(-1, -2)
+    pc = q + th[..., None, 3:]
+    z = pc[..., 2]
+    if z.min() <= camera.MIN_DEPTH_MM:
+        bad = int(np.argmax((z <= camera.MIN_DEPTH_MM).ravel())) % z.shape[-1]
+        raise camera.BehindCameraError(f"feature {bad} transformed behind the camera")
+    Kn = (pc[..., :2] / z[..., None]) @ np.array([[intrinsics.fx, 0.0], [intrinsics.skew, intrinsics.fy]])
+    r = Kn + (np.array([intrinsics.x0, intrinsics.y0]) - obs_uv)
+    return r.reshape(r.shape[:-2] + (-1,)), (R, q, 1.0 / z, Kn)
+
+
+def _jacobian_from(
+    th: np.ndarray, state: tuple[np.ndarray, ...], intrinsics: camera.CameraIntrinsics
+) -> np.ndarray:
+    """Closed-form Jacobian (..., 2m, 6) of the residuals at poses th (..., 6)
+    from their :func:`_project` state; the observations do not enter it.
+
+    Per point, d(uv)/d(pc) is P = [K | -K n] / z. The translation enters pc
+    with the identity, so its columns are P. For Z-Y-X Euler angles
+    d(R p)/d theta_k = w_k x q, with w_1 = e_z, w_2 = Rz e_y and w_3 = Rz Ry
+    e_x, the first column of R; by the scalar triple product each row p of P
+    gives p . (w_k x q) = w_k . (q x p), so the rotation columns are
+    P [q]x^T W^T with the w_k as the rows of W.
+    """
+    R, q, inv_z, Kn = state
+    # P goes in the translation columns, then the rotation columns are built from it.
+    J = np.zeros(Kn.shape + (6,))
+    J[..., 0, 3], J[..., 0, 4], J[..., 1, 4] = intrinsics.fx, intrinsics.skew, intrinsics.fy
+    J[..., 5] = -Kn
+    J[..., 3:] *= inv_z[..., None, None]
+    W = np.zeros(R.shape)
+    W[..., 0, 2] = 1.0
+    W[..., 1, 0], W[..., 1, 1] = -np.sin(th[..., 0]), np.cos(th[..., 0])
+    W[..., 2, :] = R[..., 0]
+    qx = (q @ _CROSS).reshape(q.shape + (3,))
+    J[..., :3] = J[..., 3:] @ qx @ W[..., None, :, :].swapaxes(-1, -2)
+    return J.reshape(J.shape[:-3] + (-1, 6))
+
+
 def _residuals_array(
     th: np.ndarray, points: np.ndarray, obs_uv: np.ndarray, intrinsics: camera.CameraIntrinsics
 ) -> np.ndarray:
-    """Residuals (..., 2m) of poses th (..., 6) against matched target points
-    (..., m, 3) observed at obs_uv (..., m, 2); leading axes broadcast."""
-    pc = points @ np.swapaxes(_rotation(th[..., :3]), -1, -2) + th[..., None, 3:]
-    z = pc[..., 2]
-    if np.any(z <= camera.MIN_DEPTH_MM):
-        bad = int(np.argmax((z <= camera.MIN_DEPTH_MM).ravel())) % z.shape[-1]
-        raise camera.BehindCameraError(f"feature {bad} transformed behind the camera")
-    K = np.array([[intrinsics.fx, intrinsics.skew], [0.0, intrinsics.fy]])
-    r = (pc[..., :2] / z[..., None]) @ K.T + (np.array([intrinsics.x0, intrinsics.y0]) - obs_uv)
-    return r.reshape(r.shape[:-2] + (-1,))
+    """Residuals (..., 2m) of :func:`_project`."""
+    return _project(th, points, obs_uv, intrinsics)[0]
 
 
 def reprojection_residuals(
@@ -215,33 +259,9 @@ def _jacobian(
     th: np.ndarray, points: np.ndarray, obs_uv: np.ndarray, intrinsics: camera.CameraIntrinsics
 ) -> np.ndarray:
     """Closed-form Jacobian (..., 2m, 6) of :func:`_residuals_array`, which
-    takes the same arguments; the observations do not enter it.
-
-    For Z-Y-X Euler angles d(R p)/d theta_k = w_k x (R p), with w_1 = e_z,
-    w_2 = Rz e_y and w_3 = Rz Ry e_x, the first column of R; the translation
-    enters the camera-frame point with the identity. Both go through the
-    pinhole map and the upper 2x2 block of K.
-    """
-    R = _rotation(th[..., :3])
-    q = points @ np.swapaxes(R, -1, -2)
-    pc = q + th[..., None, 3:]
-    # The axes w_k, one per row, broadcast over the points.
-    w = np.zeros(R.shape[:-2] + (1, 3, 3))
-    w[..., 0, 2] = 1.0
-    w[..., 1, 0] = -np.sin(th[..., None, 0])
-    w[..., 1, 1] = np.cos(th[..., None, 0])
-    w[..., 2, :] = R[..., None, :, 0]
-    # d pc / d theta, (..., m, 6, 3): one row per parameter.
-    dpc = np.empty(pc.shape[:-1] + (6, 3))
-    q = q[..., None, :]
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        dpc[..., :3, i] = w[..., j] * q[..., k] - w[..., k] * q[..., j]
-    dpc[..., 3:, :] = np.eye(3)
-    z = pc[..., None, 2:]
-    dn = (dpc[..., :2] - pc[..., None, :2] / z * dpc[..., 2:]) / z
-    K = np.array([[intrinsics.fx, intrinsics.skew], [0.0, intrinsics.fy]])
-    J = np.swapaxes(dn @ K.T, -1, -2)
-    return J.reshape(J.shape[:-3] + (-1, 6))
+    takes the same arguments: :func:`_jacobian_from`, by the scalar triple
+    product, on one :func:`_project`."""
+    return _jacobian_from(th, _project(th, points, obs_uv, intrinsics)[1], intrinsics)
 
 
 def _fit(
@@ -254,7 +274,7 @@ def _fit(
     """The Levenberg-Marquardt loop of :func:`fit_pose` from pose ``th`` (6,)
     on target points (m, 3) observed at ``obs_uv`` (m, 2): the final pose, the
     number of iterations and whether a stopping rule fired."""
-    r = _residuals_array(th, points, obs_uv, intrinsics)
+    r, state = _project(th, points, obs_uv, intrinsics)
     cost = float(r @ r)
     if not math.isfinite(cost):
         raise ValueError("objective is not finite at the initial parameters")
@@ -263,16 +283,15 @@ def _fit(
     lam = _INIT_LAMBDA
     converged = False
     iterations = 0
-    J = _jacobian(th, points, obs_uv, intrinsics)
     while iterations < max_iterations:
-        scale = np.linalg.norm(J, axis=0)
+        J = _jacobian_from(th, state, intrinsics)
+        JtJ = J.T @ J
         g = J.T @ r
-        cols = scale > 0
-        if cost <= floor or np.all(np.abs(g[cols]) / (scale[cols] * math.sqrt(cost)) <= _GRADIENT_TOL):
+        # A zero column has a zero gradient, which meets the rule.
+        if cost <= floor or (np.abs(g) <= _GRADIENT_TOL * math.sqrt(cost) * np.sqrt(JtJ.diagonal())).all():
             converged = True
             break
         iterations += 1
-        JtJ = J.T @ J
         while lam < 1e12:
             try:
                 step = np.linalg.solve(JtJ + lam * _EYE6, -g)
@@ -286,7 +305,7 @@ def _fit(
                 lam *= _LAMBDA_FACTOR
                 continue
             try:
-                r_new = _residuals_array(cand, points, obs_uv, intrinsics)
+                r_new, state_new = _project(cand, points, obs_uv, intrinsics)
             except camera.BehindCameraError:
                 lam *= _LAMBDA_FACTOR
                 continue
@@ -295,7 +314,7 @@ def _fit(
                 raise ValueError("objective became non-finite during optimization")
             if cost_new < cost:
                 converged = cost - cost_new <= _COST_TOL * cost
-                th, r, cost = cand, r_new, cost_new
+                th, r, cost, state = cand, r_new, cost_new, state_new
                 lam /= _LAMBDA_FACTOR
                 break
             lam *= _LAMBDA_FACTOR
@@ -303,7 +322,6 @@ def _fit(
             break
         if converged:
             break
-        J = _jacobian(th, points, obs_uv, intrinsics)
     return th, iterations, converged
 
 
@@ -512,9 +530,8 @@ def _linearize(
     for start in range(0, len(theta), _CHUNK_FRAMES):
         chunk = slice(start, start + _CHUNK_FRAMES)
         points, uv, mask = (a[chunk] for a in stack)
-        r = _residuals_array(theta[chunk], points, uv, intrinsics) * mask
-        J = _jacobian(theta[chunk], points, uv, intrinsics) * mask[..., None]
-        yield chunk, r, J
+        r, state = _project(theta[chunk], points, uv, intrinsics)
+        yield chunk, r * mask, _jacobian_from(theta[chunk], state, intrinsics) * mask[..., None]
 
 
 def _normal_equations(

@@ -68,6 +68,20 @@ def _grid16_frame(offset_uv=(0.0, 0.0)):
 # corner_likelihood
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_observation_rejects_non_finite_position(bad, axis):
+    position = [10.0, 20.0]
+    position[axis] = bad
+    with pytest.raises(ValueError, match="feature position must be finite"):
+        FeatureObservation(position=position, score=1.0)
+
+
+def test_observation_rejects_three_coordinates():
+    with pytest.raises(ValueError):
+        FeatureObservation(position=[1.0, 2.0, 3.0], score=1.0)
+
+
 def test_likelihood_constant_image_is_zero():
     npt.assert_array_equal(corner_likelihood(np.full((64, 64), 0.5)), 0.0)
 

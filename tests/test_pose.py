@@ -180,6 +180,39 @@ def test_stacked_jacobian_matches_per_frame_calls():
         npt.assert_allclose(J[f], _jacobian(th[f], pts[f], uv[f], INTR), rtol=1e-12, atol=1e-12)
 
 
+def test_residuals_and_jacobian_under_general_camera():
+    # fx != fy and a skew term exercise every entry of d(uv)/d(pc).
+    intr = CameraIntrinsics(fx=4000, fy=3990, x0=1010, y0=1030, skew=1.5)
+    rng = np.random.default_rng(31)
+    th = _theta_array(HOME) + rng.normal(0, [0.1, 0.1, 0.1, 20.0, 20.0, 50.0], (4, 6))
+    pts = np.broadcast_to(MODEL.points, (4,) + MODEL.points.shape)
+    uv = np.stack([project(intr, _pose_of(KinematicParams(*row)), MODEL.points) for row in th])
+    npt.assert_allclose(_residuals_array(th, pts, uv, intr), 0.0, atol=1e-9)
+    uv = uv + rng.normal(0, 0.5, uv.shape)
+    r, J = _residuals_array(th, pts, uv, intr), _jacobian(th, pts, uv, intr)
+    h = 1e-7
+    for f in range(4):
+        npt.assert_allclose(r[f], _residuals_array(th[f], pts[f], uv[f], intr), rtol=1e-12, atol=1e-9)
+        npt.assert_allclose(J[f], _jacobian(th[f], pts[f], uv[f], intr), rtol=1e-12, atol=1e-12)
+        J_ref = np.empty_like(J[f])
+        for k in range(6):
+            d = np.zeros(6)
+            d[k] = h
+            rp = _residuals_array(th[f] + d, pts[f], uv[f], intr)
+            rm = _residuals_array(th[f] - d, pts[f], uv[f], intr)
+            J_ref[:, k] = (rp - rm) / (2 * h)
+        assert np.max(np.abs(J[f] - J_ref) / np.maximum(np.abs(J_ref), 1.0)) < 1e-5
+
+
+def test_stacked_residuals_name_the_feature_behind_the_camera():
+    th = np.tile(_theta_array(HOME), (4, 1))
+    pts = np.broadcast_to(MODEL.points, (4,) + MODEL.points.shape).copy()
+    pts[2, 5, 2] = -2000.0
+    uv = np.zeros(pts.shape[:-1] + (2,))
+    with pytest.raises(BehindCameraError, match=r"^feature 5 "):
+        _residuals_array(th, pts, uv, INTR)
+
+
 # ---------------------------------------------------------------------------
 # fit_pose
 
