@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
@@ -96,11 +97,15 @@ def _require(cfg: dict, key: str, what: str):
     return cfg[key]
 
 
-def _positive_rate(value) -> float:
-    rate = float(value)
-    if rate <= 0:
-        raise ConfigError(f"rate must be positive, got {rate}")
-    return rate
+def _finite(value, key: str, positive: bool) -> float:
+    """``value`` of ``key`` as a finite number, > 0 if ``positive`` and >= 0
+    otherwise; anything else, a string, NaN or infinity included, is a
+    :class:`ConfigError` naming the key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if not (0 < value < math.inf if positive else 0 <= value < math.inf):
+        raise ConfigError(f"{key} must be finite and {'>' if positive else '>='} 0, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +366,8 @@ def cmd_track(args: argparse.Namespace) -> int:
     if args.rate is not None:
         cfg["rate_hz"] = args.rate
 
-    rate = _positive_rate(cfg.get("rate_hz", 30.0))
+    rate = _finite(cfg.get("rate_hz", 30.0), "rate_hz", positive=True)
+    max_gap = _finite(cfg.get("max_gap_sec", DEFAULT_MAX_GAP_SEC), "max_gap_sec", positive=False)
     intr = _load_data(
         fileio.load_intrinsics, _resolve(base, _require(cfg, "intrinsics", "track config")), "intrinsics"
     )
@@ -389,8 +395,6 @@ def cmd_track(args: argparse.Namespace) -> int:
         if len(targets) != 1:
             raise ConfigError("a single frames directory needs exactly one target")
         frames_cfg = {targets[0][0]: frames_cfg}
-
-    max_gap = float(cfg.get("max_gap_sec", DEFAULT_MAX_GAP_SEC))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -531,7 +535,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_agree(args: argparse.Namespace) -> int:
-    rate = _positive_rate(args.rate)
+    rate = _finite(args.rate, "--rate", positive=True)
     traj_a = _load_data(fileio.load_trajectory_csv, Path(args.a), "trajectory")
     traj_b = _load_data(fileio.load_trajectory_csv, Path(args.b), "trajectory")
     if abs(traj_a.t0 - traj_b.t0) > 1e-9:

@@ -1,7 +1,6 @@
 """Sway summary metrics and between-system agreement statistics."""
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -9,7 +8,6 @@ import numpy as np
 
 from swaykin.anatomy import SwayTrajectory
 
-logger = logging.getLogger(__name__)
 
 # Axis-column pairs selected by each direction keyword.
 DIRECTIONS = {
@@ -88,46 +86,6 @@ def total_path_length(
     ok = traj.valid[:-1] & traj.valid[1:] & in_bin[:-1]
     steps = np.linalg.norm(np.diff(xy, axis=0), axis=1)
     return float(np.sum(steps[ok]))
-
-
-def bin_trajectory(traj: SwayTrajectory, bins: StanceBins) -> list[SwayTrajectory]:
-    """Split a trajectory into the stance bins by half-open membership.
-
-    Returns one (possibly shortened) sub-trajectory per bin, preserving
-    absolute time; logs the per-bin sample counts and warns when the
-    trajectory ends before a bin does.
-    """
-    t = traj.times
-    out = []
-    counts = []
-    for (lo, hi), label in zip(bins.intervals, bins.labels):
-        sel = np.nonzero((t >= lo) & (t < hi))[0]
-        if len(sel):
-            sub = SwayTrajectory(
-                sample_rate_hz=traj.sample_rate_hz,
-                label=traj.label,
-                samples=traj.samples[sel[0] : sel[-1] + 1],
-                valid=traj.valid[sel[0] : sel[-1] + 1],
-                t0=float(t[sel[0]]),
-            )
-        else:
-            sub = SwayTrajectory(
-                sample_rate_hz=traj.sample_rate_hz,
-                label=traj.label,
-                samples=np.empty((0, 3)),
-                valid=np.empty(0, dtype=bool),
-                t0=lo,
-            )
-        expected = (hi - lo) * traj.sample_rate_hz
-        if len(sel) < math.floor(expected) - 1:
-            logger.warning(
-                "bin '%s' [%g, %g) has %d of ~%d expected samples",
-                label, lo, hi, len(sel), round(expected),
-            )
-        counts.append(len(sel))
-        out.append(sub)
-    logger.info("stance bin sample counts: %s", dict(zip(bins.labels, counts)))
-    return out
 
 
 def cousineau_morey(values: np.ndarray) -> np.ndarray:

@@ -3,19 +3,20 @@
 The kinematic state is six parameters: three Z-Y-X Euler angles (radians)
 followed by three camera-frame translations (millimeters). Each frame is
 fitted by a damped Levenberg-Marquardt loop on its reprojection residuals,
-warm-started from the previous frame. Each trial pose is projected once, and
-the closed-form Jacobian, by the scalar triple product, is built from that
-projection when the trial is accepted.
-:func:`track_sequence` then smooths the whole run with an iterated
-Rauch-Tung-Striebel smoother under a white-jerk prior on each parameter, so
-the poses it reports use every frame's information, not only their own.
+warm-started from the previous frame. :func:`track_sequence` then smooths
+the whole run with an iterated Rauch-Tung-Striebel smoother under a
+white-jerk prior on each parameter, so the poses it reports use every frame's
+information, not only their own. Both solvers project each trial once: the
+closed-form Jacobian, by the scalar triple product, is built from that
+projection when the trial is accepted, and the reports are evaluated from the
+last one.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -325,22 +326,15 @@ def _fit(
     return th, iterations, converged
 
 
-def _evaluate(
-    theta: np.ndarray,
-    stack: tuple[np.ndarray, np.ndarray, np.ndarray],
-    intrinsics: camera.CameraIntrinsics,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _evaluate(r: np.ndarray, J: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """RMS residual per feature (F,), the covariance proxy diag((J^T J)^+)
-    (F, 6) and the rank-deficiency flag (F,) of the frames of ``stack`` (see
-    :func:`_stack_observations`) at poses ``theta`` (F, 6)."""
-    m = np.sum(stack[2], axis=1) / 2
-    rms, cov, degenerate = np.empty(len(m)), np.empty((len(m), 6)), np.empty(len(m), dtype=bool)
-    for chunk, r, J in _linearize(theta, stack, intrinsics):
-        rms[chunk] = np.sqrt(np.sum(r**2, axis=1) / m[chunk])
-        sv = np.linalg.svd(J, compute_uv=False)
-        degenerate[chunk] = sv[:, -1] < 1e-10 * sv[:, 0]
-        cov[chunk] = np.diagonal(np.linalg.pinv(np.swapaxes(J, 1, 2) @ J), axis1=1, axis2=2)
-    return rms, cov, degenerate
+    (F, 6) and the rank-deficiency flag (F,) of one linearization: masked
+    residuals ``r`` (F, 2m) and Jacobians ``J`` (F, 2m, 6) of the frames of
+    residual mask ``mask`` (F, 2m), as :func:`_linearize` returns them."""
+    rms = np.sqrt(np.sum(r**2, axis=1) / (np.sum(mask, axis=1) / 2))
+    sv = np.linalg.svd(J, compute_uv=False)
+    cov = np.diagonal(np.linalg.pinv(np.swapaxes(J, 1, 2) @ J), axis1=1, axis2=2)
+    return rms, cov, sv[:, -1] < 1e-10 * sv[:, 0]
 
 
 def fit_pose(
@@ -375,9 +369,9 @@ def fit_pose(
         raise InsufficientCorrespondenceError(
             f"{len(obs)} observation(s); pose fitting needs at least {MIN_OBSERVATIONS}"
         )
-    idx, obs_uv = _check_matched(obs)
-    th, iterations, converged = _fit(init.as_array(), model.points[idx], obs_uv, intrinsics, max_iterations)
-    rms, cov, degenerate = _evaluate(th[None], _stack_observations(model, [obs]), intrinsics)
+    points, uv, mask = stack = _stack_observations(model, [obs])
+    th, iterations, converged = _fit(init.as_array(), points[0], uv[0], intrinsics, max_iterations)
+    rms, cov, degenerate = _evaluate(*_linearize(th[None], stack, intrinsics), mask)
     if degenerate[0]:
         logger.warning("pose Jacobian is rank deficient at theta %s", th)
     return FitReport(
@@ -433,8 +427,6 @@ _JERK_Q = np.array([[1 / 20, 1 / 8, 1 / 6], [1 / 8, 1 / 3, 1 / 2], [1 / 6, 1 / 2
 # cut-offs from 0.01 rad/frame (0.05 Hz at 30 Hz) to far beyond Nyquist.
 _JERK_DENSITIES = 10.0 ** np.arange(-12.0, 8.25, 0.5)
 _SMOOTHER_MAX_PASSES = 100
-# Frames linearized at once, which bounds the Jacobian's temporaries.
-_CHUNK_FRAMES = 256
 
 
 def _jerk_matrices(inv_density: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -524,56 +516,45 @@ def _linearize(
     theta: np.ndarray,
     stack: tuple[np.ndarray, np.ndarray, np.ndarray],
     intrinsics: camera.CameraIntrinsics,
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """Masked residuals (n, 2m) and Jacobians (n, 2m, 6) at poses (F, 6),
-    yielded with their slice of frames, at most ``_CHUNK_FRAMES`` at a time."""
-    for start in range(0, len(theta), _CHUNK_FRAMES):
-        chunk = slice(start, start + _CHUNK_FRAMES)
-        points, uv, mask = (a[chunk] for a in stack)
-        r, state = _project(theta[chunk], points, uv, intrinsics)
-        yield chunk, r * mask, _jacobian_from(theta[chunk], state, intrinsics) * mask[..., None]
-
-
-def _normal_equations(
-    theta: np.ndarray,
-    stack: tuple[np.ndarray, np.ndarray, np.ndarray],
-    intrinsics: camera.CameraIntrinsics,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each frame's J^T J (F, 6, 6) and J^T r (F, 6) at poses (F, 6)."""
-    JtJ = np.empty((len(theta), 6, 6))
-    Jtr = np.empty((len(theta), 6))
-    for chunk, r, J in _linearize(theta, stack, intrinsics):
-        JtJ[chunk] = np.swapaxes(J, 1, 2) @ J
-        Jtr[chunk] = np.einsum("fmi,fm->fi", J, r)
-    return JtJ, Jtr
+    """Masked residuals (F, 2m) and Jacobians (F, 2m, 6) of the frames of
+    ``stack`` at poses ``theta`` (F, 6), from one projection."""
+    points, uv, mask = stack
+    r, state = _project(theta, points, uv, intrinsics)
+    return r * mask, _jacobian_from(theta, state, intrinsics) * mask[..., None]
 
 
 def _smooth_poses(
     theta: np.ndarray,
     t: np.ndarray,
     informative: np.ndarray,
+    cov: np.ndarray,
     stack: tuple[np.ndarray, np.ndarray, np.ndarray],
     sigma2: float,
     intrinsics: camera.CameraIntrinsics,
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
     """Iterated fixed-interval smoothing of per-frame fits ``theta`` (F, 6)
     at frame offsets ``t`` (increasing, from 0).
 
     Work is in scaled units: each parameter is centered on its mean and
     divided by its median per-frame standard error per unit noise, and the
     whole objective is multiplied by the noise variance ``sigma2``, so the
-    normal equations do not depend on the noise level. ``informative`` marks
-    the frames with full-rank Jacobians, which pick the jerk densities.
+    normal equations do not depend on the noise level. ``cov`` (F, 6) holds
+    the fits' variances per unit noise, diag((J^T J)^+); those of the
+    ``informative`` frames, with full-rank Jacobians, pick the jerk densities.
     Each pass is a Levenberg-Marquardt step on that objective, damping each
     fitted frame's information on Nielsen's schedule (Madsen, Nielsen &
     Tingleff, 2004): a step is kept only if it lowers the objective, and the
     passes stop, as :func:`fit_pose` does, once a kept step lowers it by at
-    most ``_COST_TOL`` of its value. Returns the smoothed poses, the number
-    of passes and whether the passes settled.
+    most ``_COST_TOL`` of its value. Each trial projects the run once; the
+    next pass, like :func:`_fit`, linearizes from the accepted trial's
+    projection. Returns the smoothed poses, their masked residuals and
+    Jacobians (as :func:`_linearize` gives them), the number of passes and
+    whether the passes settled.
     """
+    points, uv, mask = stack
     T = int(t[-1]) + 1
-    JtJ, Jtr = _normal_equations(theta, stack, intrinsics)
-    var = np.diagonal(np.linalg.inv(JtJ[informative]), axis1=1, axis2=2)
+    var = cov[informative]
     scale = np.sqrt(np.median(var, axis=0))
     mean = theta.mean(axis=0)
     xi = (theta - mean) / scale
@@ -586,31 +567,38 @@ def _smooth_poses(
     )
     F, G = _jerk_matrices(1.0 / density)
 
-    def cost(z: np.ndarray) -> float:
+    def trial(z: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
         # Half the squared residuals plus half w^T G w over the jerk
-        # increments w; infinite past the gimbal guard or behind the camera.
+        # increments w, with the poses, masked residuals and projection state
+        # it took; raises past the gimbal guard or behind the camera.
         th = mean + scale * z[t, ::3]
         if np.any(np.abs(th[:, 1]) >= math.pi / 2 - GIMBAL_MARGIN):
-            return math.inf
-        try:
-            r = _residuals_array(th, stack[0], stack[1], intrinsics) * stack[2]
-        except camera.BehindCameraError:
-            return math.inf
+            raise GimbalLockError("a smoothed pose crosses the gimbal guard")
+        r, state = _project(th, points, uv, intrinsics)
+        r *= mask
         w = z[1:] - z[:-1] @ F.T
-        return 0.5 * float(np.sum(r**2) + np.einsum("ti,ij,tj->", w, G, w))
+        return 0.5 * float(np.sum(r**2) + np.einsum("ti,ij,tj->", w, G, w)), th, r, state
 
     # State per frame: each parameter's scaled position, velocity and
     # acceleration. Each pass solves for the increment, so rounding scales
     # with the step.
     z = np.zeros((T, 18))
     z[t, ::3] = xi
-    current, lam, growth, settled = cost(z), 0.0, 2.0, False
+    current, th, r, state = trial(z)
+    lam, growth, settled = 0.0, 2.0, False
     for passes in range(1, _SMOOTHER_MAX_PASSES + 1):
-        info, grad = JtJ * scale[:, None] * scale, Jtr * scale
+        J = _jacobian_from(th, state, intrinsics) * mask[..., None]
+        info = np.swapaxes(J, 1, 2) @ J * scale[:, None] * scale
+        grad = np.einsum("fmi,fm->fi", J, r) * scale
+        # The trials need only J^T J and J^T r; on a long run J is the largest array.
+        del J
         # A refused step is retried from the same linearization, more damped.
         while lam < 1e12:
             step, rhs = _gauss_newton_step(z, t, F, G, info + lam * _EYE6, grad)
-            new = cost(z + step)
+            try:
+                new, *accepted = trial(z + step)
+            except (GimbalLockError, camera.BehindCameraError):
+                new = math.inf
             if new < current:
                 break
             lam, growth = (lam * growth if lam > 0 else _INIT_LAMBDA), 2.0 * growth
@@ -620,11 +608,10 @@ def _smooth_poses(
             gain = (current - new) / (0.5 * (np.sum(rhs * step) + lam * np.sum(step[t, ::3] ** 2)))
             lam, growth = lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 2.0
         settled = current - new <= _COST_TOL * current
-        z, current = z + step, new
+        z, current, (th, r, state) = z + step, new, accepted
         if settled:
             break
-        JtJ, Jtr = _normal_equations(mean + scale * z[t, ::3], stack, intrinsics)
-    return mean + scale * z[t, ::3], passes, settled
+    return th, r, _jacobian_from(th, state, intrinsics) * mask[..., None], passes, settled
 
 
 def _gauss_newton_step(
@@ -674,8 +661,8 @@ def track_sequence(
       each pose parameter;
     - each fitted frame is measured by the Gauss-Newton step from the
       current smoothed pose, with full covariance sigma^2 (J^T J)^-1: J is
-      taken at the smoothed pose and sigma^2 is pooled over the run from the
-      per-frame fits' residuals;
+      taken at the smoothed pose, from the projection that accepted it, and
+      sigma^2 is pooled over the run from the per-frame fits' residuals;
     - it re-linearizes at the smoothed pose until a pass lowers the whole
       run's objective by at most 1e-6 of its value, the rule that ends
       :func:`fit_pose` (at most 100 passes), which makes it Gauss-Newton on
@@ -692,8 +679,11 @@ def track_sequence(
     per-frame fits. So does a run whose smoother has not settled after 100
     passes or finds no damping that lowers the objective; a warning is
     logged. Every report describes the pose it returns: residual, covariance
-    proxy and degeneracy are evaluated once, at the returned pose, and the
-    rank-deficient frames among them are named in one warning.
+    proxy and degeneracy are evaluated once, at the returned pose, from the
+    linearization made there (the smoother's last accepted trial, or the
+    per-frame fits' one evaluation, which also gives the variances that pick
+    the jerk densities), and the rank-deficient frames among them are named
+    in one warning.
     """
     fitted: list[int] = []
     fits: list[tuple[np.ndarray, int, bool]] = []
@@ -719,23 +709,23 @@ def track_sequence(
 
     stack = _stack_observations(model, [frames[i] for i in fitted])
     theta = np.array([th for th, _, _ in fits])
-    rms, cov, degenerate = _evaluate(theta, stack, intrinsics)
+    rms, cov, degenerate = _evaluate(*_linearize(theta, stack, intrinsics), stack[2])
     m = np.sum(stack[2], axis=1) / 2
     sigma2 = float(np.sum(rms**2 * m) / np.sum(2 * m - 6))
     if sigma2 > _NOISE_FREE_PX**2 and np.sum(~degenerate) >= 3:
         try:
-            smoothed, passes, settled = _smooth_poses(
-                theta, np.array(fitted) - fitted[0], ~degenerate, stack, sigma2, intrinsics
+            smoothed, r, J, passes, settled = _smooth_poses(
+                theta, np.array(fitted) - fitted[0], ~degenerate, cov, stack, sigma2, intrinsics
             )
             if settled:
-                rms, cov, degenerate = _evaluate(smoothed, stack, intrinsics)
+                rms, cov, degenerate = _evaluate(r, J, stack[2])
                 theta = smoothed
                 logger.debug("pose smoother settled after %d passes", passes)
             else:
                 logger.warning(
                     "pose smoother did not settle in %d passes; keeping the per-frame fits", passes
                 )
-        except (camera.BehindCameraError, np.linalg.LinAlgError) as e:
+        except (GimbalLockError, camera.BehindCameraError, np.linalg.LinAlgError) as e:
             logger.warning("pose smoother failed (%s); keeping the per-frame fits", e)
     if np.any(degenerate):
         rank_deficient = [fitted[f] for f in np.flatnonzero(degenerate)]

@@ -5,6 +5,8 @@ files each subcommand leaves behind.
 """
 
 import json
+import math
+import shutil
 
 import numpy as np
 import numpy.testing as npt
@@ -304,6 +306,28 @@ def test_track_rejects_filter_and_detector_settings(sim_dir, tmp_path, caplog, s
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"rate_hz": math.nan},
+        {"rate_hz": math.inf},
+        {"rate_hz": "30"},
+        {"max_gap_sec": math.nan},
+        {"max_gap_sec": -0.2},
+        {"max_gap_sec": "0.2"},
+    ],
+)
+def test_track_rejects_bad_rate_and_gap(sim_dir, tmp_path, caplog, setting):
+    # A copy of the whole simulation, so that only the setting is wrong.
+    sim = shutil.copytree(sim_dir, tmp_path / "sim")
+    cfg = dict(json.loads((sim / "track_config.json").read_text()), **setting)
+    (sim / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["track", "--config", str(sim / "cfg.json"), "--out", str(out)]) == 2
+    assert f"{next(iter(setting))} must be" in caplog.text
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # track (rendered-frames path)
 
@@ -519,6 +543,16 @@ def test_agree_t0_mismatch_is_config_error(tmp_path):
     _write_traj(a, np.sin(t), label="a", t0=0.0)
     _write_traj(b, np.sin(t), label="b", t0=1.0)
     assert main(["agree", "--a", str(a), "--b", str(b), "--out", str(tmp_path / "o.json")]) == 2
+
+
+@pytest.mark.parametrize("rate", ["inf", "nan"])
+def test_agree_rejects_non_finite_rate(tmp_path, caplog, rate):
+    p = tmp_path / "a.csv"
+    _write_traj(p, np.sin(np.arange(100) / 30.0), label="a")
+    out = tmp_path / "agree.json"
+    assert main(["agree", "--a", str(p), "--b", str(p), "--rate", rate, "--out", str(out)]) == 2
+    assert "--rate must be" in caplog.text
+    assert not out.exists()
 
 
 def test_agree_disjoint_validity_fails_compute(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from swaykin import (
     StanceBins,
     SwayTrajectory,
-    bin_trajectory,
     bland_altman,
     cohens_d,
     cousineau_morey,
@@ -127,29 +126,6 @@ def test_tpl_unknown_direction():
 
 # ---------------------------------------------------------------------------
 # binning
-
-
-def test_bin_trajectory_splits_evenly():
-    traj = _traj(ap=np.zeros(1800), rate=30.0)
-    parts = bin_trajectory(traj, StanceBins())
-    assert [p.n_samples for p in parts] == [600, 600, 600]
-    assert [p.t0 for p in parts] == [0.0, 20.0, 40.0]
-
-
-def test_bin_membership_half_open():
-    traj = _traj(ap=np.zeros(1800), rate=30.0)
-    parts = bin_trajectory(traj, StanceBins())
-    # t = 20 s opens the mid bin
-    assert parts[1].times[0] == pytest.approx(20.0)
-    assert parts[0].times[-1] < 20.0
-
-
-def test_bin_short_trajectory_warns(caplog):
-    traj = _traj(ap=np.zeros(1500), rate=30.0)  # 50 s
-    with caplog.at_level("WARNING"):
-        parts = bin_trajectory(traj, StanceBins())
-    assert parts[2].n_samples == 300
-    assert any("expected" in r.getMessage() for r in caplog.records)
 
 
 def test_stance_bins_validation():

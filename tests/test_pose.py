@@ -545,6 +545,57 @@ def test_track_reports_describe_smoothed_pose():
         assert (rep.iterations, rep.converged) == (own.iterations, own.converged)
 
 
+def test_track_smoother_projects_once_per_trial(monkeypatch, caplog):
+    from swaykin import pose
+
+    calls = {"_project": 0, "_gauss_newton_step": 0}
+
+    def counted(name):
+        fn = getattr(pose, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pose, name, counted(name))
+    smooth, at_start = pose._smooth_poses, []
+
+    def smooth_counted(*args, **kwargs):
+        at_start.append(calls["_project"])
+        return smooth(*args, **kwargs)
+
+    monkeypatch.setattr(pose, "_smooth_poses", smooth_counted)
+    frames, _ = _noisy_frames(90, seed=34)
+    track_sequence(frames, MODEL, INTR)
+    assert "keeping the per-frame fits" not in caplog.text
+    trials = calls["_gauss_newton_step"]
+    assert trials > 1
+    # From the smoother's start to the reports: the starting cost's
+    # projection, then one per trial, which also linearizes the next pass.
+    assert calls["_project"] - at_start[0] == trials + 1
+
+
+def test_track_reports_on_long_sparse_run_match_fresh_evaluation(caplog):
+    # Over 256 fitted frames with differing feature counts: the whole run is
+    # linearized at once, in a padded stack.
+    model = default_target("shoulder")
+    truth = generate_trajectory(SwayProfile(duration_sec=10, seed=5))
+    frames = render_observations(truth, model, INTR, NoiseSpec(0.3, 0.5, 5))
+    track = track_sequence(frames, model, INTR)
+    assert "keeping the per-frame fits" not in caplog.text
+    fitted = [(obs, rep) for obs, rep in zip(frames, track.reports) if rep is not None]
+    assert len(fitted) > 256
+    assert len({len(obs) for obs, _ in fitted}) > 1
+    for obs, rep in fitted:
+        here = fit_pose(rep.theta, model, obs, INTR, max_iterations=0)
+        assert rep.rms_residual_px == pytest.approx(here.rms_residual_px, rel=1e-6)
+        npt.assert_allclose(rep.covariance_diag, here.covariance_diag, rtol=1e-6)
+        assert rep.degenerate == here.degenerate
+
+
 @pytest.mark.parametrize("failure", ["unsettled", "behind_camera"])
 def test_track_keeps_per_frame_fits_when_smoother_fails(monkeypatch, caplog, failure):
     from swaykin import pose
