@@ -143,7 +143,7 @@ def load_features_csv(path: str | Path) -> list[list[FeatureObservation]]:
     """Read a feature CSV back into per-frame observation lists.
 
     Frames are the contiguous range 0..max(frame); frames with no rows come
-    back empty (a dropout-induced gap).
+    back empty (a dropout-induced gap). A negative frame number is refused.
     """
     by_frame: dict[int, list[FeatureObservation]] = {}
     with open(path, newline="") as f:
@@ -158,7 +158,10 @@ def load_features_csv(path: str | Path) -> list[list[FeatureObservation]]:
                 float(row["score"]),
                 model_index=None if idx in ("", None) else int(idx),
             )
-            by_frame.setdefault(int(row["frame"]), []).append(obs)
+            frame = int(row["frame"])
+            if frame < 0:
+                raise ValueError(f"{path}: frame numbers must be >= 0, got {frame}")
+            by_frame.setdefault(frame, []).append(obs)
     if not by_frame:
         return []
     n = max(by_frame) + 1

@@ -6,7 +6,8 @@ fitted by a damped Levenberg-Marquardt loop on its reprojection residuals,
 warm-started from the previous frame. :func:`track_sequence` then smooths
 the whole run with an iterated Rauch-Tung-Striebel smoother under a
 white-jerk prior on each parameter, so the poses it reports use every frame's
-information, not only their own. Both solvers project each trial once: the
+information, not only their own. Both solvers run one Levenberg-Marquardt
+loop, :func:`_levenberg_marquardt`, and project each trial once: the
 closed-form Jacobian, by the scalar triple product, is built from that
 projection when the trial is accepted, and the reports are evaluated from the
 last one.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -30,17 +31,16 @@ logger = logging.getLogger(__name__)
 
 GIMBAL_MARGIN = 1e-6
 MIN_OBSERVATIONS = 4
-# fit_pose's stopping rules (see its docstring): relative cost decrease and
-# scaled gradient. The sequence smoother stops on the first.
+# Stopping rules (see _levenberg_marquardt and fit_pose): relative cost
+# decrease, for both solvers, and fit_pose's scaled gradient.
 _COST_TOL = 1e-6
 _GRADIENT_TOL = 1e-4
 # A residual below this per feature is rounding, not measurement noise: a fit
 # that reaches it has converged, and a run whose pooled residual is below it is
 # noise-free and keeps its per-frame fits.
 _NOISE_FREE_PX = 1e-6
-# Levenberg-Marquardt damping: its start (also the smoother's, after a refused
-# pass), and the factor by which fit_pose raises it on a refused step and
-# lowers it on an accepted one.
+# Levenberg-Marquardt damping: its start, and the factor by which it rises on
+# a refused step and falls on an accepted one.
 _INIT_LAMBDA = 1e-3
 _LAMBDA_FACTOR = 10.0
 _EYE6 = np.eye(6)
@@ -156,18 +156,19 @@ class FitReport:
 
 @dataclass(frozen=True)
 class PoseTrack:
-    """Per-frame poses on a uniform timebase. ``reports[i]`` is None exactly
-    where ``statuses[i] == "gap"``."""
+    """Per-frame poses on a uniform timebase. ``statuses[i]`` is ``"gap"``
+    exactly where ``reports[i]`` is None, and ``"fitted"`` elsewhere."""
 
     rate_hz: float
     reports: list[FitReport | None]
-    statuses: list[str]
 
     def __post_init__(self) -> None:
         if self.rate_hz <= 0:
             raise ValueError("rate_hz must be positive")
-        if len(self.reports) != len(self.statuses):
-            raise ValueError("reports and statuses must cover the same frames")
+
+    @property
+    def statuses(self) -> list[str]:
+        return ["gap" if rep is None else "fitted" for rep in self.reports]
 
     @property
     def n_frames(self) -> int:
@@ -178,12 +179,17 @@ class PoseTrack:
         return np.arange(self.n_frames) / self.rate_hz
 
 
-def _check_matched(obs: Sequence[FeatureObservation]) -> tuple[np.ndarray, np.ndarray]:
+def _check_matched(
+    model: "GeometricTargetModel", obs: Sequence[FeatureObservation]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Target points (m, 3) and observed pixels (m, 2) of matched observations."""
     if any(o.model_index is None for o in obs):
         raise ValueError("all observations must carry a model_index")
     idx = np.array([o.model_index for o in obs], dtype=int)
-    pts = np.stack([o.position for o in obs])
-    return idx, pts
+    bad = idx[(idx < 0) | (idx >= len(model.points))]
+    if len(bad):
+        raise ValueError(f"model_index {bad[0]} is outside [0, {len(model.points)}) of target '{model.name}'")
+    return model.points[idx], np.stack([o.position for o in obs])
 
 
 # q @ _CROSS, reshaped to (..., 3, 3), is the matrix [q]x^T: v @ it = q x v.
@@ -252,8 +258,7 @@ def reprojection_residuals(
 ) -> np.ndarray:
     """Signed residual vector (2m,): predicted minus observed pixels, in
     observation order (u then v per feature)."""
-    idx, pts = _check_matched(obs)
-    return _residuals_array(theta.as_array(), model.points[idx], pts, intrinsics)
+    return _residuals_array(theta.as_array(), *_check_matched(model, obs), intrinsics)
 
 
 def _jacobian(
@@ -265,64 +270,79 @@ def _jacobian(
     return _jacobian_from(th, _project(th, points, obs_uv, intrinsics)[1], intrinsics)
 
 
-def _fit(
-    th: np.ndarray,
-    points: np.ndarray,
-    obs_uv: np.ndarray,
-    intrinsics: camera.CameraIntrinsics,
-    max_iterations: int,
-) -> tuple[np.ndarray, int, bool]:
-    """The Levenberg-Marquardt loop of :func:`fit_pose` from pose ``th`` (6,)
-    on target points (m, 3) observed at ``obs_uv`` (m, 2): the final pose, the
-    number of iterations and whether a stopping rule fired."""
-    r, state = _project(th, points, obs_uv, intrinsics)
-    cost = float(r @ r)
-    if not math.isfinite(cost):
-        raise ValueError("objective is not finite at the initial parameters")
+def _levenberg_marquardt(
+    x: np.ndarray, trial: Callable, linearize: Callable, solve: Callable, max_iterations: int
+) -> tuple[np.ndarray, tuple, int, bool]:
+    """The Levenberg-Marquardt loop of both pose solvers, from ``x``.
 
-    floor = len(points) * _NOISE_FREE_PX**2
-    lam = _INIT_LAMBDA
-    converged = False
-    iterations = 0
-    while iterations < max_iterations:
-        J = _jacobian_from(th, state, intrinsics)
-        JtJ = J.T @ J
-        g = J.T @ r
-        # A zero column has a zero gradient, which meets the rule.
-        if cost <= floor or (np.abs(g) <= _GRADIENT_TOL * math.sqrt(cost) * np.sqrt(JtJ.diagonal())).all():
-            converged = True
-            break
+    ``trial(x)`` returns the cost at ``x`` and what the solver keeps of that
+    projection; ``linearize(cost, kept)`` returns the normal equations' matrix
+    (..., 6, 6) and gradient there, or None when the solver's own stopping
+    rule fires; ``solve(x, A, g)`` returns the step for the damped matrix A.
+    Damping adds lambda I to the matrix. It starts at 1e-3, falls tenfold on
+    an accepted step and rises tenfold on a refused one, which is retried
+    from the same linearization. A step is refused if it does not lower the
+    cost, crosses the gimbal guard, puts a feature behind the camera or meets
+    a singular system. The loop has converged when an accepted step lowers
+    the cost by at most 1e-6 of its value; it stops unconverged after
+    ``max_iterations`` or once damping reaches 1e12. Returns the final ``x``,
+    its trial's kept state, the number of iterations and whether it
+    converged.
+    """
+    cost, kept = trial(x)
+    lam, iterations, converged = _INIT_LAMBDA, 0, False
+    while not converged and iterations < max_iterations:
+        system = linearize(cost, kept)
+        if system is None:
+            return x, kept, iterations, True
         iterations += 1
+        A, g = system
         while lam < 1e12:
             try:
-                step = np.linalg.solve(JtJ + lam * _EYE6, -g)
-            except np.linalg.LinAlgError:
-                lam *= _LAMBDA_FACTOR
-                continue
-            cand = th + step
-            # Steps that cross the gimbal guard or put a feature behind the
-            # camera are refused; more damping shortens them.
-            if abs(cand[1]) >= math.pi / 2 - GIMBAL_MARGIN:
-                lam *= _LAMBDA_FACTOR
-                continue
-            try:
-                r_new, state_new = _project(cand, points, obs_uv, intrinsics)
-            except camera.BehindCameraError:
-                lam *= _LAMBDA_FACTOR
-                continue
-            cost_new = float(r_new @ r_new)
-            if not math.isfinite(cost_new):
-                raise ValueError("objective became non-finite during optimization")
+                cand = x + solve(x, A + lam * _EYE6, g)
+                cost_new, kept_new = trial(cand)
+            except (np.linalg.LinAlgError, GimbalLockError, camera.BehindCameraError):
+                cost_new = math.inf
             if cost_new < cost:
-                converged = cost - cost_new <= _COST_TOL * cost
-                th, r, cost, state = cand, r_new, cost_new, state_new
-                lam /= _LAMBDA_FACTOR
                 break
             lam *= _LAMBDA_FACTOR
         else:
             break
-        if converged:
-            break
+        converged = cost - cost_new <= _COST_TOL * cost
+        x, cost, kept, lam = cand, cost_new, kept_new, lam / _LAMBDA_FACTOR
+    return x, kept, iterations, converged
+
+
+def _fit(
+    th: np.ndarray, points: np.ndarray, obs_uv: np.ndarray, intrinsics: camera.CameraIntrinsics,
+    max_iterations: int,
+) -> tuple[np.ndarray, int, bool]:
+    """:func:`fit_pose`'s fit from pose ``th`` (6,) of target points (m, 3)
+    observed at ``obs_uv`` (m, 2): the final pose, the number of iterations
+    and whether a stopping rule fired."""
+    floor = len(points) * _NOISE_FREE_PX**2
+
+    def trial(th: np.ndarray) -> tuple[float, tuple]:
+        if abs(th[1]) >= math.pi / 2 - GIMBAL_MARGIN:
+            raise GimbalLockError("a pose crosses the gimbal guard")
+        r, state = _project(th, points, obs_uv, intrinsics)
+        cost = float(r @ r)
+        if not math.isfinite(cost):
+            raise ValueError("the reprojection objective is not finite")
+        return cost, (th, r, state)
+
+    def linearize(cost: float, kept: tuple) -> tuple[np.ndarray, np.ndarray] | None:
+        th, r, state = kept
+        J = _jacobian_from(th, state, intrinsics)
+        JtJ, g = J.T @ J, J.T @ r
+        # A zero column has a zero gradient, which meets the rule.
+        if cost <= floor or (np.abs(g) <= _GRADIENT_TOL * math.sqrt(cost) * np.sqrt(JtJ.diagonal())).all():
+            return None
+        return JtJ, g
+
+    th, _, iterations, converged = _levenberg_marquardt(
+        th, trial, linearize, lambda th, A, g: np.linalg.solve(A, -g), max_iterations
+    )
     return th, iterations, converged
 
 
@@ -345,25 +365,16 @@ def fit_pose(
     *,
     max_iterations: int = 100,
 ) -> FitReport:
-    """Levenberg-Marquardt fit of the kinematic parameters to observations.
-
-    Damping starts at 1e-3, falls tenfold on an accepted step and rises
-    tenfold on a refused one; a step is refused if it raises the cost,
-    crosses the gimbal guard or puts a feature behind the camera. The
-    stopping rules are relative, so one value serves radians and millimeters
-    alike (Madsen, Nielsen & Tingleff, *Methods for Non-Linear Least Squares
-    Problems*, 2004). The fit has converged when
-
-    - an accepted step lowers the cost by at most 1e-6 of its value;
-    - the scaled gradient, the largest cosine between the residual vector
-      and a Jacobian column, is at most 1e-4;
-    - the cost is at most m (1e-6 px)^2 for m features: the observations
-      are met to rounding.
-
-    It stops unconverged after ``max_iterations`` or when no damping yields
-    a lower cost. The report, evaluated at the returned pose, flags
-    ``degenerate`` when the Jacobian has rank < 6, and carries
-    diag((J^T J)^-1) as a covariance proxy.
+    """Levenberg-Marquardt fit of the kinematic parameters to observations
+    by :func:`_levenberg_marquardt`, with its damping, refusals and
+    cost-decrease rule. The fit has also converged when the scaled gradient,
+    the largest cosine between the residual vector and a Jacobian column, is
+    at most 1e-4, or when the cost is at most m (1e-6 px)^2 for m features:
+    the observations are met to rounding. The rules are relative, so one
+    value serves radians and millimeters alike (Madsen, Nielsen & Tingleff,
+    *Methods for Non-Linear Least Squares Problems*, 2004). The report,
+    evaluated at the returned pose, flags ``degenerate`` when the Jacobian
+    has rank < 6, and carries diag((J^T J)^-1) as a covariance proxy.
     """
     if len(obs) < MIN_OBSERVATIONS:
         raise InsufficientCorrespondenceError(
@@ -394,8 +405,7 @@ def initialize_first_frame(
         raise InsufficientCorrespondenceError(
             f"{len(obs)} observation(s); initialization needs at least {MIN_OBSERVATIONS}"
         )
-    idx, obs_uv = _check_matched(obs)
-    pts = model.points[idx]
+    pts, obs_uv = _check_matched(model, obs)
 
     centroid = model.points.mean(axis=0)
     _, sv, Vt = np.linalg.svd(model.points - centroid)
@@ -500,15 +510,13 @@ def _stack_observations(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Target points (F, m, 3), observed pixels (F, m, 2) and a residual mask
     (F, 2m), padded to the largest frame; padding repeats model point 0."""
-    m = max(len(obs) for obs in frames)
+    m = max((len(obs) for obs in frames), default=0)
     points = np.broadcast_to(model.points[0], (len(frames), m, 3)).copy()
     uv = np.zeros((len(frames), m, 2))
     mask = np.zeros((len(frames), 2 * m))
     for f, obs in enumerate(frames):
-        idx, pts = _check_matched(obs)
-        points[f, : len(idx)] = model.points[idx]
-        uv[f, : len(idx)] = pts
-        mask[f, : 2 * len(idx)] = 1.0
+        points[f, : len(obs)], uv[f, : len(obs)] = _check_matched(model, obs)
+        mask[f, : 2 * len(obs)] = 1.0
     return points, uv, mask
 
 
@@ -542,15 +550,12 @@ def _smooth_poses(
     normal equations do not depend on the noise level. ``cov`` (F, 6) holds
     the fits' variances per unit noise, diag((J^T J)^+); those of the
     ``informative`` frames, with full-rank Jacobians, pick the jerk densities.
-    Each pass is a Levenberg-Marquardt step on that objective, damping each
-    fitted frame's information on Nielsen's schedule (Madsen, Nielsen &
-    Tingleff, 2004): a step is kept only if it lowers the objective, and the
-    passes stop, as :func:`fit_pose` does, once a kept step lowers it by at
-    most ``_COST_TOL`` of its value. Each trial projects the run once; the
-    next pass, like :func:`_fit`, linearizes from the accepted trial's
-    projection. Returns the smoothed poses, their masked residuals and
-    Jacobians (as :func:`_linearize` gives them), the number of passes and
-    whether the passes settled.
+    Each pass is an iteration of :func:`_levenberg_marquardt` on that
+    objective, with each fitted frame's information damped; each trial
+    projects the run once, and the next pass linearizes from the accepted
+    trial's projection. Returns the smoothed poses, their masked residuals
+    and Jacobians (as :func:`_linearize` gives them), the number of passes
+    and whether the passes settled.
     """
     points, uv, mask = stack
     T = int(t[-1]) + 1
@@ -567,7 +572,7 @@ def _smooth_poses(
     )
     F, G = _jerk_matrices(1.0 / density)
 
-    def trial(z: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    def trial(z: np.ndarray) -> tuple[float, tuple]:
         # Half the squared residuals plus half w^T G w over the jerk
         # increments w, with the poses, masked residuals and projection state
         # it took; raises past the gimbal guard or behind the camera.
@@ -577,48 +582,30 @@ def _smooth_poses(
         r, state = _project(th, points, uv, intrinsics)
         r *= mask
         w = z[1:] - z[:-1] @ F.T
-        return 0.5 * float(np.sum(r**2) + np.einsum("ti,ij,tj->", w, G, w)), th, r, state
+        return 0.5 * float(np.sum(r**2) + np.einsum("ti,ij,tj->", w, G, w)), (th, r, state)
+
+    def linearize(cost: float, kept: tuple) -> tuple[np.ndarray, np.ndarray]:
+        # The trials need only J^T J and J^T r; on a long run J is the
+        # largest array, and it is dropped on return.
+        th, r, state = kept
+        J = _jacobian_from(th, state, intrinsics) * mask[..., None]
+        return np.swapaxes(J, 1, 2) @ J * scale[:, None] * scale, np.einsum("fmi,fm->fi", J, r) * scale
 
     # State per frame: each parameter's scaled position, velocity and
     # acceleration. Each pass solves for the increment, so rounding scales
     # with the step.
     z = np.zeros((T, 18))
     z[t, ::3] = xi
-    current, th, r, state = trial(z)
-    lam, growth, settled = 0.0, 2.0, False
-    for passes in range(1, _SMOOTHER_MAX_PASSES + 1):
-        J = _jacobian_from(th, state, intrinsics) * mask[..., None]
-        info = np.swapaxes(J, 1, 2) @ J * scale[:, None] * scale
-        grad = np.einsum("fmi,fm->fi", J, r) * scale
-        # The trials need only J^T J and J^T r; on a long run J is the largest array.
-        del J
-        # A refused step is retried from the same linearization, more damped.
-        while lam < 1e12:
-            step, rhs = _gauss_newton_step(z, t, F, G, info + lam * _EYE6, grad)
-            try:
-                new, *accepted = trial(z + step)
-            except (GimbalLockError, camera.BehindCameraError):
-                new = math.inf
-            if new < current:
-                break
-            lam, growth = (lam * growth if lam > 0 else _INIT_LAMBDA), 2.0 * growth
-        else:
-            break
-        if lam > 0:
-            gain = (current - new) / (0.5 * (np.sum(rhs * step) + lam * np.sum(step[t, ::3] ** 2)))
-            lam, growth = lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 2.0
-        settled = current - new <= _COST_TOL * current
-        z, current, (th, r, state) = z + step, new, accepted
-        if settled:
-            break
+    _, (th, r, state), passes, settled = _levenberg_marquardt(
+        z, trial, linearize, lambda z, A, g: _gauss_newton_step(z, t, F, G, A, g), _SMOOTHER_MAX_PASSES
+    )
     return th, r, _jacobian_from(th, state, intrinsics) * mask[..., None], passes, settled
 
 
 def _gauss_newton_step(
     z: np.ndarray, t: np.ndarray, F: np.ndarray, G: np.ndarray, info: np.ndarray, grad: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Newton increment (T, 18) of the smoother's states ``z``, and
-    the right-hand side (T, 18) of its normal equations.
+) -> np.ndarray:
+    """Gauss-Newton increment (T, 18) of the smoother's states ``z``.
 
     Each frame at ``t`` contributes its residuals linearized at the current
     pose, i.e. the Gauss-Newton step from there, with information ``info``
@@ -636,7 +623,7 @@ def _gauss_newton_step(
     rhs[:-1] += Gw @ F
     rhs[1:] -= Gw
     rhs[t, ::3] -= grad
-    return solveh_banded(ab, rhs.ravel(), overwrite_ab=True, lower=True).reshape(T, 18), rhs
+    return solveh_banded(ab, rhs.ravel(), overwrite_ab=True, lower=True).reshape(T, 18)
 
 
 def track_sequence(
@@ -651,7 +638,9 @@ def track_sequence(
     starts from the most recent fit. Frames with fewer than 4 matched
     observations (or where initialization or fitting fails) get status
     ``gap`` and no report, and stay gaps; the frames that fail are named in
-    one warning. Raises :class:`TrackingError` if nothing fits.
+    one warning. Raises :class:`TrackingError` if nothing fits. Each frame's
+    observations are checked and stacked once, and both solvers read them
+    from that stack.
 
     The per-frame fits then seed an iterated fixed-interval Rauch-Tung-
     Striebel smoother over the 6-DOF pose (Rauch, Tung & Striebel, AIAA J.
@@ -663,12 +652,10 @@ def track_sequence(
       current smoothed pose, with full covariance sigma^2 (J^T J)^-1: J is
       taken at the smoothed pose, from the projection that accepted it, and
       sigma^2 is pooled over the run from the per-frame fits' residuals;
-    - it re-linearizes at the smoothed pose until a pass lowers the whole
-      run's objective by at most 1e-6 of its value, the rule that ends
-      :func:`fit_pose` (at most 100 passes), which makes it Gauss-Newton on
-      that objective (Bell, SIAM J. Optim. 4(3), 1994); a pass that would
-      raise it, cross the gimbal guard or put a feature behind the camera is
-      damped until it does not (Sarkka & Svensson, ICASSP 2020);
+    - it re-linearizes at the smoothed pose, which makes it Gauss-Newton on
+      the run's objective (Bell, SIAM J. Optim. 4(3), 1994), damped by
+      :func:`fit_pose`'s loop (Sarkka & Svensson, ICASSP 2020) for at most
+      100 passes;
     - each parameter's jerk density maximizes the likelihood of the
       innovations of the per-frame fits over a grid.
 
@@ -676,26 +663,25 @@ def track_sequence(
     solve of the block-tridiagonal normal equations, whose forward and back
     substitutions are the filter and the RTS sweeps. Noise-free observations
     (sigma^2 = 0) and runs with fewer than 3 full-rank fitted frames keep the
-    per-frame fits. So does a run whose smoother has not settled after 100
-    passes or finds no damping that lowers the objective; a warning is
-    logged. Every report describes the pose it returns: residual, covariance
+    per-frame fits. So does a run whose smoother does not settle, with a
+    warning. Every report describes the pose it returns: residual, covariance
     proxy and degeneracy are evaluated once, at the returned pose, from the
     linearization made there (the smoother's last accepted trial, or the
     per-frame fits' one evaluation, which also gives the variances that pick
     the jerk densities), and the rank-deficient frames among them are named
     in one warning.
     """
-    fitted: list[int] = []
+    usable = [i for i, obs in enumerate(frames) if len(obs) >= MIN_OBSERVATIONS]
+    points, uv, mask = _stack_observations(model, [frames[i] for i in usable])
+    rows: list[int] = []
     fits: list[tuple[np.ndarray, int, bool]] = []
     failed: list[int] = []
-    for i, obs in enumerate(frames):
-        if len(obs) < MIN_OBSERVATIONS:
-            continue
+    for f, i in enumerate(usable):
+        n = len(frames[i])
         try:
-            init = fits[-1][0] if fits else initialize_first_frame(model, obs, intrinsics).as_array()
-            idx, uv = _check_matched(obs)
-            fits.append(_fit(init, model.points[idx], uv, intrinsics, 100))
-            fitted.append(i)
+            init = fits[-1][0] if fits else initialize_first_frame(model, frames[i], intrinsics).as_array()
+            fits.append(_fit(init, points[f, :n], uv[f, :n], intrinsics, 100))
+            rows.append(f)
         except (GimbalLockError, camera.DegenerateGeometryError, camera.BehindCameraError) as e:
             logger.debug("frame %d: %s; marking gap", i, e)
             failed.append(i)
@@ -707,7 +693,11 @@ def track_sequence(
     if not fits:
         raise TrackingError("no frame in the sequence could be fitted")
 
-    stack = _stack_observations(model, [frames[i] for i in fitted])
+    fitted = [usable[f] for f in rows]
+    # The fitted frames' stack, padded to the largest of them; the names are
+    # rebound so that the first stack is freed.
+    pad = max(len(frames[i]) for i in fitted)
+    points, uv, mask = stack = points[rows, :pad], uv[rows, :pad], mask[rows, : 2 * pad]
     theta = np.array([th for th, _, _ in fits])
     rms, cov, degenerate = _evaluate(*_linearize(theta, stack, intrinsics), stack[2])
     m = np.sum(stack[2], axis=1) / 2
@@ -738,5 +728,4 @@ def track_sequence(
     for f, (i, (_, iterations, converged)) in enumerate(zip(fitted, fits)):
         th = KinematicParams.from_array(theta[f])
         reports[i] = FitReport(th, float(rms[f]), iterations, converged, cov[f], bool(degenerate[f]))
-    statuses = ["gap" if rep is None else "fitted" for rep in reports]
-    return PoseTrack(rate_hz=rate_hz, reports=reports, statuses=statuses)
+    return PoseTrack(rate_hz=rate_hz, reports=reports)

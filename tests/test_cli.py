@@ -14,6 +14,7 @@ import pytest
 
 from swaykin import (
     CameraIntrinsics,
+    FeatureObservation,
     GeometricTargetModel,
     KinematicParams,
     SwayTrajectory,
@@ -285,6 +286,33 @@ def test_track_untrackable_recording_fails_without_partial_output(tmp_path):
     out = tmp_path / "o"
     assert main(["track", "--config", str(sim / "track_config.json"), "--out", str(out)]) == 1
     assert not (out / "pose_lumbar.csv").exists()
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("index", [15, -1])
+def test_track_refuses_model_index_outside_target(tmp_path, caplog, index):
+    sim = _simulate_short(tmp_path, {"sigma_px": 0.2, "dropout": 0.0})
+    frames = fileio.load_features_csv(sim / "features_lumbar.csv")
+    o = frames[4][0]
+    frames[4][0] = FeatureObservation(o.position, o.score, model_index=index)
+    fileio.save_features_csv(sim / "features_lumbar.csv", frames)
+    out = tmp_path / "o"
+    caplog.clear()
+    assert main(["track", "--config", str(sim / "track_config.json"), "--out", str(out)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and f"model_index {index} is outside [0, 15)" in errors[0]
+    assert list(out.iterdir()) == []
+
+
+def test_track_refuses_negative_frame_number(tmp_path, caplog):
+    sim = _simulate_short(tmp_path, {"sigma_px": 0.2, "dropout": 0.0})
+    with open(sim / "features_lumbar.csv", "a") as f:
+        f.write("-1,0,100.0,100.0,1.0\n")
+    out = tmp_path / "o"
+    caplog.clear()
+    assert main(["track", "--config", str(sim / "track_config.json"), "--out", str(out)]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "frame numbers must be >= 0, got -1" in errors[0]
     assert list(out.iterdir()) == []
 
 

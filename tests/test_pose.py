@@ -1,5 +1,7 @@
 """Six-parameter pose model and iterative fit tests."""
 
+import logging
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -594,6 +596,28 @@ def test_track_reports_on_long_sparse_run_match_fresh_evaluation(caplog):
         assert rep.rms_residual_px == pytest.approx(here.rms_residual_px, rel=1e-6)
         npt.assert_allclose(rep.covariance_diag, here.covariance_diag, rtol=1e-6)
         assert rep.degenerate == here.degenerate
+
+
+def test_track_smoother_damps_a_singular_system(monkeypatch, caplog):
+    from swaykin import pose
+
+    step, calls = pose._gauss_newton_step, []
+
+    def singular_once(*args):
+        calls.append(None)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Matrix is singular")
+        return step(*args)
+
+    monkeypatch.setattr(pose, "_gauss_newton_step", singular_once)
+    caplog.set_level(logging.DEBUG, logger="swaykin.pose")
+    frames, _ = _noisy_frames(60, seed=30)
+    track = track_sequence(frames, MODEL, INTR)
+    assert "keeping the per-frame fits" not in caplog.text
+    assert "pose smoother settled" in caplog.text
+    assert len(calls) > 2
+    own = _per_frame_fits(frames)
+    assert any(rep.theta != fit.theta for rep, fit in zip(track.reports, own))
 
 
 @pytest.mark.parametrize("failure", ["unsettled", "behind_camera"])
