@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from swaykin import _bands
+
 logger = logging.getLogger(__name__)
 
 # Minimum forward depth (mm) for a point to count as "in front of" the camera.
@@ -131,7 +133,8 @@ class RigidTransform:
 def distort_normalized(intrinsics: CameraIntrinsics, points: np.ndarray) -> np.ndarray:
     """Apply radial distortion to normalized image coordinates, shape (..., 2)."""
     p = np.asarray(points, dtype=float)
-    r2 = np.sum(p * p, axis=-1, keepdims=True)
+    sq = p * p
+    r2 = sq[..., :1] + sq[..., 1:]  # as np.sum over the last axis, without its slow reduction
     return p * (1.0 + intrinsics.k1 * r2 + intrinsics.k2 * r2 * r2)
 
 
@@ -216,7 +219,10 @@ def undistort_frame(
     """Resample an image so straight lines are straight under the pinhole model.
 
     Each output pixel is bilinearly sampled from the source at its distorted
-    location; samples outside the source are 0.
+    location, :func:`distort_point`; samples outside the source are 0. The
+    output is remapped in row bands across the cores, each band sampling the
+    whole source, so the result equals one pass over the whole grid value for
+    value, and only one band's remap is held at a time per core.
 
     ``window = (u0, v0, u1, v1)`` remaps only the output columns
     ``u0 <= u < u1`` and rows ``v0 <= v < v1``, still sampling the whole
@@ -233,13 +239,20 @@ def undistort_frame(
         raise ValueError(f"window {window} is empty or leaves the {w}x{h} image")
     if not intrinsics.has_distortion:
         return img[v0:v1, u0:u1].copy()
-    vv, uu = np.meshgrid(
-        np.arange(v0, v1, dtype=float), np.arange(u0, u1, dtype=float), indexing="ij"
-    )
-    src = distort_point(intrinsics, np.stack([uu.ravel(), vv.ravel()], axis=-1))
-    coords = np.stack([src[:, 1].reshape(uu.shape), src[:, 0].reshape(uu.shape)])
     from scipy import ndimage
-    return ndimage.map_coordinates(img, coords, order=1, mode="constant", cval=0.0)
+    out = np.empty((v1 - v0, u1 - u0))
+    cols = np.arange(u0, u1, dtype=float)
+
+    def remap(b0: int, b1: int) -> None:
+        vv, uu = np.meshgrid(np.arange(v0 + b0, v0 + b1, dtype=float), cols, indexing="ij")
+        src = distort_point(intrinsics, np.stack([uu, vv], axis=-1))
+        ndimage.map_coordinates(
+            img, np.stack([src[..., 1], src[..., 0]]), output=out[b0:b1],
+            order=1, mode="constant", cval=0.0,
+        )
+
+    _bands.over_rows(v1 - v0, remap)
+    return out
 
 
 def _normalize_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from swaykin import camera
+from swaykin import _bands, camera
 
 logger = logging.getLogger(__name__)
 
@@ -99,7 +99,7 @@ _KERNELS = _quadrant_kernels()
 
 def _saddle_response(img: np.ndarray, kernels: list[np.ndarray]) -> np.ndarray:
     """One orientation's saddle response. Each correlation is freed once used,
-    which bounds the peak memory of a full-frame call."""
+    which bounds the peak memory of a band."""
     from scipy import ndimage
     fa, fb, fc, fd = (ndimage.correlate(img, k, mode="nearest") for k in kernels)
     mu = 0.25 * (fa + fb + fc + fd)
@@ -126,6 +126,11 @@ def corner_likelihood(image: np.ndarray) -> np.ndarray:
     opposite directions) respond; edges and single-quadrant corners cancel.
     The likelihood is the maximum response over orientations and polarities,
     clamped at 0, with the border band (kernel radius) zeroed.
+
+    The map is computed in row bands across the cores. Each band correlates
+    its rows plus the kernel radius above and below, so the image's edge
+    rows are replicated only at the image border, and the map equals one
+    pass over the whole image value for value.
     """
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
@@ -133,11 +138,17 @@ def corner_likelihood(image: np.ndarray) -> np.ndarray:
     if min(img.shape) < KERNEL_SIZE:
         raise ValueError(f"image {img.shape} smaller than kernel ({KERNEL_SIZE}x{KERNEL_SIZE})")
 
-    like = np.zeros_like(img)
-    for kernels in (_KERNELS[:4], _KERNELS[4:]):
-        np.maximum(like, _saddle_response(img, kernels), out=like)
-    np.maximum(like, 0.0, out=like)
     r = KERNEL_RADIUS
+    like = np.zeros_like(img)
+
+    def rows(v0: int, v1: int) -> None:
+        a = max(v0 - r, 0)
+        slab, band = img[a : v1 + r], like[v0:v1]
+        for kernels in (_KERNELS[:4], _KERNELS[4:]):
+            np.maximum(band, _saddle_response(slab, kernels)[v0 - a : v1 - a], out=band)
+        np.maximum(band, 0.0, out=band)
+
+    _bands.over_rows(len(img), rows)
     like[:r, :] = 0.0
     like[-r:, :] = 0.0
     like[:, :r] = 0.0
@@ -159,10 +170,20 @@ def detect_features(
     if nms_radius < 1:
         raise ValueError(f"nms_radius must be >= 1, got {nms_radius}")
     like = np.asarray(likelihood, dtype=float)
-    size = 2 * int(nms_radius) + 1
+    r = int(nms_radius)
     from scipy import ndimage
-    peak = like >= ndimage.maximum_filter(like, size=size, mode="nearest")
-    vs, us = np.nonzero(peak & (like > threshold))
+    peak = np.empty(like.shape, dtype=bool)
+
+    # The maximum filter runs in row bands across the cores, each reading
+    # nms_radius rows beyond its own: the same peaks as one whole-map pass.
+    def rows(v0: int, v1: int) -> None:
+        a = max(v0 - r, 0)
+        top = ndimage.maximum_filter(like[a : v1 + r], size=2 * r + 1, mode="nearest")
+        band = like[v0:v1]
+        peak[v0:v1] = (band >= top[v0 - a : v1 - a]) & (band > threshold)
+
+    _bands.over_rows(len(like), rows)
+    vs, us = np.nonzero(peak)
     scores = like[vs, us]
     order = np.lexsort((us, vs, -scores))
     us, vs, scores = us[order], vs[order], scores[order]

@@ -638,9 +638,11 @@ def track_sequence(
     starts from the most recent fit. Frames with fewer than 4 matched
     observations (or where initialization or fitting fails) get status
     ``gap`` and no report, and stay gaps; the frames that fail are named in
-    one warning. Raises :class:`TrackingError` if nothing fits. Each frame's
-    observations are checked and stacked once, and both solvers read them
-    from that stack.
+    one warning. Raises :class:`TrackingError` if nothing fits. Every
+    non-empty frame, short ones included, is checked once: an observation
+    without a ``model_index`` or with one outside the target raises
+    ``ValueError``. The fittable frames are stacked once, and both solvers
+    read them from that stack.
 
     The per-frame fits then seed an iterated fixed-interval Rauch-Tung-
     Striebel smoother over the 6-DOF pose (Rauch, Tung & Striebel, AIAA J.
@@ -672,6 +674,9 @@ def track_sequence(
     in one warning.
     """
     usable = [i for i, obs in enumerate(frames) if len(obs) >= MIN_OBSERVATIONS]
+    for obs in frames:
+        if 0 < len(obs) < MIN_OBSERVATIONS:
+            _check_matched(model, obs)  # the stack checks the usable frames
     points, uv, mask = _stack_observations(model, [frames[i] for i in usable])
     rows: list[int] = []
     fits: list[tuple[np.ndarray, int, bool]] = []

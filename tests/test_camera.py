@@ -20,6 +20,7 @@ from swaykin import (
     undistort_frame,
     undistort_point,
 )
+from swaykin import _bands
 from swaykin.pose import motion_matrix
 from swaykin.synth import render_frame
 from swaykin.features import detect_refined
@@ -207,6 +208,24 @@ def test_undistort_frame_straightens_rendered_grid():
     for p in ideal:
         err = np.min(np.linalg.norm(det - p, axis=1))
         assert err < 0.1, f"corner off by {err:.3f} px after undistortion"
+
+
+def test_banded_undistort_frame_equals_one_remap():
+    """The frame, remapped band by band, equals one bilinear remap at
+    distort_point of the whole pixel grid; so does a window more than a band
+    tall, whose rows cross the frame's band edges."""
+    from scipy import ndimage
+
+    intr = CameraIntrinsics(fx=620, fy=600, x0=47, y0=290, skew=3.0, k1=-0.25, k2=0.08)
+    img = np.random.default_rng(6).uniform(0, 1, (600, 90))
+    h, w = img.shape
+    assert h > 2 * _bands._BAND_ROWS
+    vv, uu = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float), indexing="ij")
+    src = distort_point(intr, np.stack([uu.ravel(), vv.ravel()], axis=-1))
+    coords = np.stack([src[:, 1].reshape(uu.shape), src[:, 0].reshape(uu.shape)])
+    ref = ndimage.map_coordinates(img, coords, order=1, mode="constant", cval=0.0)
+    npt.assert_array_equal(undistort_frame(intr, img), ref)
+    npt.assert_array_equal(undistort_frame(intr, img, (7, 150, 61, 560)), ref[150:560, 7:61])
 
 
 # ---------------------------------------------------------------------------

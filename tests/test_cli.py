@@ -304,6 +304,20 @@ def test_track_refuses_model_index_outside_target(tmp_path, caplog, index):
     assert list(out.iterdir()) == []
 
 
+def test_track_refuses_model_index_outside_target_on_short_frame(tmp_path, caplog):
+    sim = _simulate_short(tmp_path, {"sigma_px": 0.2, "dropout": 0.0})
+    frames = fileio.load_features_csv(sim / "features_lumbar.csv")
+    o = frames[3][0]
+    frames[3] = [FeatureObservation(o.position, o.score, model_index=99), *frames[3][1:3]]
+    fileio.save_features_csv(sim / "features_lumbar.csv", frames)
+    out = tmp_path / "o"
+    caplog.clear()
+    assert main(["track", "--config", str(sim / "track_config.json"), "--out", str(out)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "model_index 99 is outside [0, 15)" in errors[0]
+    assert list(out.iterdir()) == []
+
+
 def test_track_refuses_negative_frame_number(tmp_path, caplog):
     sim = _simulate_short(tmp_path, {"sigma_px": 0.2, "dropout": 0.0})
     with open(sim / "features_lumbar.csv", "a") as f:

@@ -1,6 +1,8 @@
 """Corner detection, sub-pixel refinement and matching tests."""
 
 import logging
+import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -26,7 +28,7 @@ from swaykin import (
     refine_subpixel,
     render_frame,
 )
-from swaykin import RigidTransform
+from swaykin import RigidTransform, _bands
 from swaykin.features import SOBEL_X, SOBEL_Y, _quadrant_kernels
 
 
@@ -115,6 +117,59 @@ def test_likelihood_equals_eight_response_reference():
     ref = np.maximum(ref, 0.0)
     ref[:5, :] = ref[-5:, :] = ref[:, :5] = ref[:, -5:] = 0.0
     npt.assert_array_equal(corner_likelihood(img), ref)
+
+
+def test_banded_likelihood_and_peaks_equal_one_band(monkeypatch):
+    """A map several bands tall equals the eight-response reference, and its
+    peaks equal those found with the whole map as one band, bit for bit."""
+    img = np.random.default_rng(12).uniform(0.0, 1.0, (700, 130))
+    assert len(img) > 2 * _bands._BAND_ROWS  # band edges lie inside the image
+    resp = [ndimage.correlate(img, k, mode="nearest") for k in _quadrant_kernels()]
+    ref = np.zeros_like(img)
+    for fa, fb, fc, fd in (resp[:4], resp[4:]):
+        mu = 0.25 * (fa + fb + fc + fd)
+        lo_ab = np.minimum(fa, fb)
+        lo_cd = np.minimum(fc, fd)
+        ref = np.maximum(ref, np.maximum(np.minimum(lo_ab - mu, mu - lo_cd), np.minimum(mu - lo_ab, lo_cd - mu)))
+    ref = np.maximum(ref, 0.0)
+    ref[:5, :] = ref[-5:, :] = ref[:, :5] = ref[:, -5:] = 0.0
+    like = corner_likelihood(img)
+    npt.assert_array_equal(like, ref)
+
+    # Rounded, so equal scores form plateaus that cross band edges too.
+    like = np.round(like, 2)
+    banded = detect_features(like, 0.01, nms_radius=8)
+    monkeypatch.setattr(_bands, "_BAND_ROWS", len(like))
+    whole = detect_features(like, 0.01, nms_radius=8)
+    assert len(banded) > 50
+    npt.assert_array_equal([d.position for d in banded], [d.position for d in whole])
+    npt.assert_array_equal([d.score for d in banded], [d.score for d in whole])
+
+
+def test_banded_likelihood_from_many_threads_at_once():
+    """Callers in more threads than cores share the band pool, and each gets
+    its own image's map."""
+    rng = np.random.default_rng(13)
+    imgs = [rng.uniform(0.0, 1.0, (300, 90)) for _ in range(6)]
+    want = [corner_likelihood(im) for im in imgs]
+    got = [None] * len(imgs)
+
+    def run(i):
+        got[i] = corner_likelihood(imgs[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(imgs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for g, w in zip(got, want):
+        npt.assert_array_equal(g, w)
 
 
 def test_likelihood_white_noise_rarely_fires():

@@ -94,6 +94,35 @@ def test_feature_csv_track_loads_only_scipy_linalg(tmp_path):
         assert not [m for m in steps[1] if m == name or m.startswith(name + ".")], name
 
 
+# Runs one command of argv[2] (a JSON argument list) and writes, to argv[3],
+# whether the thread pool's module is loaded and how many threads are alive.
+_THREAD_PROBE = """
+import json, sys, threading
+sys.path.insert(0, sys.argv[1])
+import swaykin.cli
+if swaykin.cli.main(json.loads(sys.argv[2])) != 0:
+    raise SystemExit("command failed")
+with open(sys.argv[3], "w") as f:
+    f.write(json.dumps(["concurrent.futures.thread" in sys.modules, threading.active_count()]))
+"""
+
+
+def test_feature_csv_track_starts_no_thread_pool(tmp_path):
+    # The row-band pool of the image path is made on its first call only.
+    # (concurrent.futures itself comes with scipy.linalg, which imports
+    # numpy.testing; its ThreadPoolExecutor lives in concurrent.futures.thread.)
+    scenario = {"duration_sec": 1.0, "rate_hz": 30.0, "seed": 3, "noise": {"sigma_px": 0.2, "dropout": 0.0}, "targets": ["lumbar"]}
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "sim")]) == 0
+    argv = ["track", "--config", str(tmp_path / "sim" / "track_config.json"), "--out", str(tmp_path / "out")]
+    report = tmp_path / "threads.json"
+    subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE, str(SRC), json.dumps(argv), str(report)],
+        check=True, timeout=120, capture_output=True,
+    )
+    assert json.loads(report.read_text()) == [False, 1]
+
+
 def test_all_is_what_the_package_imports():
     tree = ast.parse((SRC / "swaykin" / "__init__.py").read_text())
     imported = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]

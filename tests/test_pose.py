@@ -722,3 +722,14 @@ def test_track_noiseless_keeps_per_frame_fits():
         fit = fit_pose(rep.theta, MODEL, obs, INTR)
         npt.assert_allclose(_theta_array(rep.theta), _theta_array(fit.theta), atol=1e-7)
         assert rep.converged
+
+
+@pytest.mark.parametrize("index", [99, -1])
+def test_track_refuses_model_index_outside_target_on_short_frame(index):
+    # A frame too short to fit is still checked, as a long frame is.
+    theta = KinematicParams(0.02, 0.01, 0.0, 1.0, -1.0, 1000.0)
+    frames = [_exact_obs(theta) for _ in range(6)]
+    o = frames[3][0]
+    frames[3] = [FeatureObservation(o.position, o.score, model_index=index), *frames[3][1:3]]
+    with pytest.raises(ValueError, match=f"model_index {index} is outside \\[0, 15\\)"):
+        track_sequence(frames, MODEL, INTR)
