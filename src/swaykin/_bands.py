@@ -34,3 +34,14 @@ def over_rows(height: int, work: Callable[[int, int], None]) -> None:
             _pool = ThreadPoolExecutor(cores or 1, thread_name_prefix="swaykin-rows")
     starts = range(0, height, _BAND_ROWS)
     list(_pool.map(work, starts, [min(v + _BAND_ROWS, height) for v in starts]))
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads, so it makes its own
+    pool; without this its first call would wait forever."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)

@@ -1,8 +1,11 @@
 """Corner detection, sub-pixel refinement and matching tests."""
 
 import logging
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -170,6 +173,37 @@ def test_banded_likelihood_from_many_threads_at_once():
     assert not any(t.is_alive() for t in threads)
     for g, w in zip(got, want):
         npt.assert_array_equal(g, w)
+
+
+# Computes a map, forks, and computes it again in the child.
+_FORK_PROBE = """
+import multiprocessing, sys
+import numpy as np
+from swaykin import corner_likelihood
+img = np.random.default_rng(0).uniform(0.0, 1.0, (300, 90))
+want = corner_likelihood(img)
+def child():
+    sys.exit(0 if np.array_equal(corner_likelihood(img), want) else 3)
+if __name__ == "__main__":
+    p = multiprocessing.get_context("fork").Process(target=child)
+    p.start()
+    p.join(timeout=60)
+    if p.is_alive():
+        p.kill()
+        sys.exit("the forked child did not finish")
+    sys.exit(p.exitcode)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_banded_likelihood_in_a_forked_child():
+    """A child forked after the band pool exists makes its own pool."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _FORK_PROBE], env={**os.environ, "PYTHONPATH": src},
+        timeout=120, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_likelihood_white_noise_rarely_fires():
