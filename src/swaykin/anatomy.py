@@ -37,35 +37,21 @@ class AnatomicalFrame:
         M = np.asarray(self.matrix, dtype=float)
         if M.shape != (4, 4):
             raise ValueError(f"extrinsic matrix must be 4x4, got {M.shape}")
-        if not np.all(np.isfinite(M)):
-            raise ValueError("extrinsic matrix must be finite")
-        R = M[:3, :3]
-        if np.max(np.abs(R @ R.T - np.eye(3))) > 1e-9 or not np.allclose(
-            M[3], [0.0, 0.0, 0.0, 1.0], atol=1e-12
-        ):
+        if not np.allclose(M[3], [0.0, 0.0, 0.0, 1.0], atol=1e-12):
             raise ValueError("extrinsic matrix must be a rigid homogeneous transform")
+        RigidTransform(M[:3, :3], M[:3, 3])
         object.__setattr__(self, "matrix", M)
 
     @classmethod
     def from_transform(cls, pose: RigidTransform) -> "AnatomicalFrame":
         return cls(pose.matrix)
 
-    @property
-    def inverse_matrix(self) -> np.ndarray:
-        M = self.matrix
-        inv = np.eye(4)
-        inv[:3, :3] = M[:3, :3].T
-        inv[:3, 3] = -M[:3, :3].T @ M[:3, 3]
-        return inv
-
 
 def to_anatomical(frame: AnatomicalFrame, z: np.ndarray) -> np.ndarray:
     """Map camera-frame points (..., 3) into the board frame via the inverse
     extrinsic. Output axes are board (x, y, z) = (ML, SI, AP)."""
-    p = np.asarray(z, dtype=float)
-    R_inv = frame.inverse_matrix[:3, :3]
-    t_inv = frame.inverse_matrix[:3, 3]
-    return p @ R_inv.T + t_inv
+    R, t = frame.matrix[:3, :3], frame.matrix[:3, 3]
+    return np.asarray(z, dtype=float) @ R - R.T @ t
 
 
 def anatomical_from_board(board_xyz: np.ndarray) -> np.ndarray:

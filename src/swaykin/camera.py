@@ -341,35 +341,6 @@ class CalibrationResult:
     rms_px: float = 0.0
 
 
-def _rodrigues(rvec: np.ndarray) -> np.ndarray:
-    """Axis-angle vector to rotation matrix."""
-    theta = np.linalg.norm(rvec)
-    if theta < 1e-12:
-        return np.eye(3)
-    k = rvec / theta
-    Kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
-    return np.eye(3) + math.sin(theta) * Kx + (1.0 - math.cos(theta)) * (Kx @ Kx)
-
-
-def _rodrigues_inv(R: np.ndarray) -> np.ndarray:
-    """Rotation matrix to axis-angle vector."""
-    cos_t = max(-1.0, min(1.0, (np.trace(R) - 1.0) / 2.0))
-    theta = math.acos(cos_t)
-    if theta < 1e-12:
-        return np.zeros(3)
-    if abs(math.pi - theta) < 1e-6:
-        # Near pi the antisymmetric part vanishes; use (R + I)/2 ~ axis axis^T.
-        M = (R + np.eye(3)) / 2.0
-        i = int(np.argmax(np.diag(M)))
-        axis = M[:, i] / math.sqrt(M[i, i])
-        return axis / np.linalg.norm(axis) * theta
-    axis = (
-        np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-        / (2.0 * math.sin(theta))
-    )
-    return axis * theta
-
-
 def _intrinsics_from_homographies(Hs: list[np.ndarray]) -> CameraIntrinsics:
     """Closed-form intrinsics from the absolute-conic constraints of >= 3 views."""
 
@@ -454,13 +425,12 @@ def calibrate(
     X3 = np.column_stack([X, np.zeros(len(X))])
     obs = np.concatenate([p.ravel() for p in views])
 
+    from scipy import optimize
+    from scipy.spatial.transform import Rotation
+
     def unpack(params: np.ndarray):
-        fx, fy, x0, y0, skew, k1, k2 = params[:7]
-        poses = []
-        for i in range(n_views):
-            seg = params[7 + 6 * i : 13 + 6 * i]
-            poses.append((_rodrigues(seg[:3]), seg[3:]))
-        return (fx, fy, x0, y0, skew, k1, k2), poses
+        segs = params[7:].reshape(n_views, 6)
+        return params[:7], list(zip(Rotation.from_rotvec(segs[:, :3]).as_matrix(), segs[:, 3:]))
 
     def residuals(params: np.ndarray) -> np.ndarray:
         (fx, fy, x0, y0, skew, k1, k2), poses = unpack(params)
@@ -477,11 +447,10 @@ def calibrate(
 
     p0 = np.zeros(7 + 6 * n_views)
     p0[:7] = [K0.fx, K0.fy, K0.x0, K0.y0, K0.skew, 0.0, 0.0]
-    for i, pose in enumerate(poses0):
-        p0[7 + 6 * i : 10 + 6 * i] = _rodrigues_inv(pose.rotation)
-        p0[10 + 6 * i : 13 + 6 * i] = pose.translation
+    segs0 = p0[7:].reshape(n_views, 6)
+    segs0[:, :3] = Rotation.from_matrix([pose.rotation for pose in poses0]).as_rotvec()
+    segs0[:, 3:] = [pose.translation for pose in poses0]
 
-    from scipy import optimize
     sol = optimize.least_squares(residuals, p0, method="lm", xtol=1e-14, ftol=1e-14)
     (fx, fy, x0, y0, skew, k1, k2), poses = unpack(sol.x)
     intr = CameraIntrinsics(fx=fx, fy=fy, x0=x0, y0=y0, skew=skew, k1=k1, k2=k2)

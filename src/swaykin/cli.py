@@ -38,12 +38,8 @@ class ConfigError(RuntimeError):
 # Algorithmic failures on well-formed input; map to exit code 1.
 _COMPUTE_ERRORS = (
     camera.CalibrationError,
-    camera.DegenerateGeometryError,
-    camera.BehindCameraError,
     camera.DistortionInversionError,
     pose.TrackingError,
-    pose.GimbalLockError,
-    target.AmbiguousTargetError,
     features.LatticeMatchError,
     features.InsufficientCorrespondenceError,
     features.NoGradientError,
@@ -91,6 +87,16 @@ def _load_data(loader, path: Path, what: str):
         raise ConfigError(f"{what} file {path}: {e}") from e
 
 
+def _pgm_paths(dirpath: Path) -> list[Path]:
+    """A directory's ``*.pgm`` files in name order; there must be at least one."""
+    if not dirpath.is_dir():
+        raise ConfigError(f"frames directory not found: {dirpath}")
+    paths = sorted(dirpath.glob("*.pgm"))
+    if not paths:
+        raise ConfigError(f"no .pgm frames in {dirpath}")
+    return paths
+
+
 def _require(cfg: dict, key: str, what: str):
     if key not in cfg:
         raise ConfigError(f"{what} is missing required key '{key}'")
@@ -124,12 +130,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if rows < 2 or cols < 2 or pitch <= 0:
         raise ConfigError("board needs rows >= 2, cols >= 2 and positive square_size_mm")
 
-    frames_dir = Path(args.frames)
-    if not frames_dir.is_dir():
-        raise ConfigError(f"frames directory not found: {frames_dir}")
-    paths = sorted(frames_dir.glob("*.pgm"))
-    if not paths:
-        raise ConfigError(f"no .pgm frames in {frames_dir}")
+    paths = _pgm_paths(Path(args.frames))
 
     # Row-major node order matching order_checkerboard_corners.
     jj, ii = np.meshgrid(np.arange(cols, dtype=float), np.arange(rows, dtype=float))
@@ -325,12 +326,7 @@ def _ingest_frames_dir(
 ) -> list[list[features.FeatureObservation]]:
     """Read a directory's PGM frames in name order, one at a time, into
     :func:`features.detect_sequence`."""
-    if not dirpath.is_dir():
-        raise ConfigError(f"frames directory not found: {dirpath}")
-    paths = sorted(dirpath.glob("*.pgm"))
-    if not paths:
-        raise ConfigError(f"no .pgm frames in {dirpath}")
-    frames = ((f"{dirpath.name}/{p.name}", _load_data(fileio.read_pgm, p, "frame")) for p in paths)
+    frames = ((f"{dirpath.name}/{p.name}", _load_data(fileio.read_pgm, p, "frame")) for p in _pgm_paths(dirpath))
     return features.detect_sequence(frames, model.points, intr)
 
 

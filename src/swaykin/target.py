@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swaykin import camera
 from swaykin.pose import KinematicParams, motion_matrix
 
 GRID_PITCH_MM = 20.0
@@ -112,7 +111,9 @@ def validate_asymmetry(model: GeometricTargetModel) -> None:
     for i, j in zip(*np.nonzero(match)):
         R = _frame(centered[i], centered[j]) @ base.T
         if _maps_onto_itself(centered, R):
-            rvec = camera._rodrigues_inv(R)
+            from scipy.spatial.transform import Rotation
+
+            rvec = Rotation.from_matrix(R).as_rotvec()
             angle = float(np.linalg.norm(rvec))
             axis = rvec / angle
             raise AmbiguousTargetError(

@@ -107,6 +107,11 @@ def test_frame_rejects_non_rigid_matrix():
         AnatomicalFrame(M)
 
 
+def test_frame_rejects_reflection():
+    with pytest.raises(ValueError, match="proper"):
+        AnatomicalFrame(np.diag([1.0, 1.0, -1.0, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # Savitzky-Golay smoothing
 

@@ -108,7 +108,7 @@ with open(sys.argv[3], "w") as f:
 
 
 def test_feature_csv_track_starts_no_thread_pool(tmp_path):
-    # The row-band pool of the image path is made on its first call only.
+    # The image path's row-band threads start only inside an image call.
     # (concurrent.futures itself comes with scipy.linalg, which imports
     # numpy.testing; its ThreadPoolExecutor lives in concurrent.futures.thread.)
     scenario = {"duration_sec": 1.0, "rate_hz": 30.0, "seed": 3, "noise": {"sigma_px": 0.2, "dropout": 0.0}, "targets": ["lumbar"]}
@@ -121,6 +121,30 @@ def test_feature_csv_track_starts_no_thread_pool(tmp_path):
         check=True, timeout=120, capture_output=True,
     )
     assert json.loads(report.read_text()) == [False, 1]
+
+
+def test_frames_track_leaves_no_thread_running(tmp_path):
+    # Each image call joins its row-band threads before it returns. k1 makes
+    # the frames path undistort as well as detect.
+    scenario = {
+        "duration_sec": 0.3,
+        "rate_hz": 10.0,
+        "seed": 3,
+        "noise": {"sigma_px": 0.0, "dropout": 0.0},
+        "intrinsics": {"fx": 2000, "fy": 2000, "x0": 160, "y0": 160, "k1": -0.05},
+        "image_size": [320, 320],
+        "targets": ["lumbar"],
+    }
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out", str(sim), "--render-frames"]) == 0
+    argv = ["track", "--config", str(sim / "track_config.json"), "--frames", str(sim / "frames_lumbar"), "--out", str(tmp_path / "out")]
+    report = tmp_path / "threads.json"
+    subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE, str(SRC), json.dumps(argv), str(report)],
+        check=True, timeout=120, capture_output=True,
+    )
+    assert json.loads(report.read_text()) == [True, 1]
 
 
 def test_all_is_what_the_package_imports():
