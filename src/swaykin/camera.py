@@ -423,7 +423,6 @@ def calibrate(
 
     n_views = len(views)
     X3 = np.column_stack([X, np.zeros(len(X))])
-    obs = np.concatenate([p.ravel() for p in views])
 
     from scipy import optimize
     from scipy.spatial.transform import Rotation

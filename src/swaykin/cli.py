@@ -326,7 +326,8 @@ def _ingest_frames_dir(
 ) -> list[list[features.FeatureObservation]]:
     """Read a directory's PGM frames in name order, one at a time, into
     :func:`features.detect_sequence`."""
-    frames = ((f"{dirpath.name}/{p.name}", _load_data(fileio.read_pgm, p, "frame")) for p in _pgm_paths(dirpath))
+    paths = _pgm_paths(dirpath)
+    frames = ((f"{dirpath.name}/{p.name}", _load_data(fileio.read_pgm, p, "frame")) for p in paths)
     return features.detect_sequence(frames, model.points, intr)
 
 

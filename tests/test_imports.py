@@ -138,7 +138,8 @@ def test_frames_track_leaves_no_thread_running(tmp_path):
     (tmp_path / "scenario.json").write_text(json.dumps(scenario))
     sim = tmp_path / "sim"
     assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out", str(sim), "--render-frames"]) == 0
-    argv = ["track", "--config", str(sim / "track_config.json"), "--frames", str(sim / "frames_lumbar"), "--out", str(tmp_path / "out")]
+    argv = ["track", "--config", str(sim / "track_config.json"), "--frames", str(sim / "frames_lumbar")]
+    argv += ["--out", str(tmp_path / "out")]
     report = tmp_path / "threads.json"
     subprocess.run(
         [sys.executable, "-c", _THREAD_PROBE, str(SRC), json.dumps(argv), str(report)],
