@@ -39,7 +39,7 @@ class AnatomicalFrame:
             raise ValueError(f"extrinsic matrix must be 4x4, got {M.shape}")
         if not np.allclose(M[3], [0.0, 0.0, 0.0, 1.0], atol=1e-12):
             raise ValueError("extrinsic matrix must be a rigid homogeneous transform")
-        RigidTransform(M[:3, :3], M[:3, 3])
+        RigidTransform(M[:3, :3], M[:3, 3])  # finite, orthonormal and proper
         object.__setattr__(self, "matrix", M)
 
     @classmethod
