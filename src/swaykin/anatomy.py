@@ -92,7 +92,7 @@ class SwayTrajectory:
             raise ValueError(f"samples must be (n, 3), got {s.shape}")
         if v.shape != (len(s),):
             raise ValueError("validity mask must have one entry per sample")
-        if self.sample_rate_hz <= 0:
+        if not self.sample_rate_hz > 0:
             raise ValueError("sample_rate_hz must be positive")
         if np.any(~np.isfinite(s[v])):
             raise ValueError("valid samples must be finite")

@@ -427,22 +427,20 @@ def calibrate(
     from scipy import optimize
     from scipy.spatial.transform import Rotation
 
-    def unpack(params: np.ndarray):
+    def unpack(params: np.ndarray) -> tuple[CameraIntrinsics, list[RigidTransform]]:
+        fx, fy, x0, y0, skew, k1, k2 = params[:7]
         segs = params[7:].reshape(n_views, 6)
-        return params[:7], list(zip(Rotation.from_rotvec(segs[:, :3]).as_matrix(), segs[:, 3:]))
+        rotations = Rotation.from_rotvec(segs[:, :3]).as_matrix()
+        return (
+            CameraIntrinsics(fx=fx, fy=fy, x0=x0, y0=y0, skew=skew, k1=k1, k2=k2),
+            [RigidTransform(R, t) for R, t in zip(rotations, segs[:, 3:])],
+        )
 
     def residuals(params: np.ndarray) -> np.ndarray:
-        (fx, fy, x0, y0, skew, k1, k2), poses = unpack(params)
-        out = []
-        for (R, t), uv in zip(poses, views):
-            pc = X3 @ R.T + t
-            xn = pc[:, :2] / pc[:, 2:3]
-            r2 = np.sum(xn * xn, axis=1, keepdims=True)
-            xd = xn * (1.0 + k1 * r2 + k2 * r2 * r2)
-            u = fx * xd[:, 0] + skew * xd[:, 1] + x0
-            v = fy * xd[:, 1] + y0
-            out.append(np.column_stack([u, v]).ravel() - uv.ravel())
-        return np.concatenate(out)
+        intr, poses = unpack(params)
+        return np.concatenate(
+            [(project(intr, pose, X3, apply_distortion=True) - uv).ravel() for pose, uv in zip(poses, views)]
+        )
 
     p0 = np.zeros(7 + 6 * n_views)
     p0[:7] = [K0.fx, K0.fy, K0.x0, K0.y0, K0.skew, 0.0, 0.0]
@@ -451,9 +449,7 @@ def calibrate(
     segs0[:, 3:] = [pose.translation for pose in poses0]
 
     sol = optimize.least_squares(residuals, p0, method="lm", xtol=1e-14, ftol=1e-14)
-    (fx, fy, x0, y0, skew, k1, k2), poses = unpack(sol.x)
-    intr = CameraIntrinsics(fx=fx, fy=fy, x0=x0, y0=y0, skew=skew, k1=k1, k2=k2)
-    extr = [RigidTransform(R, t) for R, t in poses]
+    intr, extr = unpack(sol.x)
     n_pts = sum(len(p) for p in views)
     rms = float(np.sqrt(np.sum(sol.fun**2) / n_pts))
     logger.info("calibrated %d views, RMS %.4f px", n_views, rms)

@@ -8,7 +8,6 @@ refining surviving peaks with a gradient-orthogonality solve.
 """
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from collections.abc import Iterable, Sequence
@@ -328,10 +327,12 @@ def detect_sequence(
     with :func:`camera.undistort_frame` and detected with
     :func:`detect_refined`. Positions are undistorted pixels.
 
-    A frame is first matched on the whole image by lattice bootstrapping;
+    A frame is first matched on the whole image by bootstrapping;
     if that fails, each feature is gated to its last known position, which
     tolerates missed detections. Frames that fail both routes become empty
-    (tracking gaps), reported in one warning at the end.
+    (tracking gaps), reported in one warning at the end. A model that
+    bootstrapping cannot use raises :class:`LatticeMatchError` before the
+    first frame is read.
 
     After a frame has matched every model feature, the next frame is first
     undistorted and detected only inside a window: the bounding box of those
@@ -344,6 +345,7 @@ def detect_sequence(
     its last position; otherwise the frame takes the whole-image route above.
     """
     mp = np.asarray(model_points, dtype=float)
+    _model_grid(mp)
     reach = KERNEL_RADIUS + NMS_RADIUS + REFINE_RADIUS + 1
 
     def detect(image: np.ndarray, window=None) -> list[FeatureObservation]:
@@ -410,71 +412,74 @@ def _first_frames(frames: Sequence[object]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Correspondence bootstrapping (no prior pose available)
+# Grid correspondence without a prior pose
 # ---------------------------------------------------------------------------
 
 
-def _lattice_axes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dominant lattice step vectors (u, v) of a grid-like point cloud.
+def _corner_cells(cells: np.ndarray) -> np.ndarray:
+    """Corners of the bounding box of grid cells from (0, 0), in the cyclic
+    order that :func:`_grid_alignments` gives the outermost detections."""
+    x1, y1 = cells.max(axis=0)
+    return np.array([[0, 0], [x1, 0], [x1, y1], [0, y1]])
 
-    Collects displacement vectors between near-neighbors, clusters their
-    directions modulo 180 degrees, and averages the two dominant clusters.
-    The returned pair is right-handed in image coordinates (det > 0).
+
+def _grid_alignments(pts: np.ndarray, cells: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """Every in-plane rotation under which integer grid ``cells`` (x, y from
+    (0, 0)) fit detections ``pts``.
+
+    The four outermost detections, the largest-area quadrilateral among the
+    points farthest along one of 360 directions, are taken as the corners of
+    the cells' bounding box. For each of the four in-plane rotations a
+    homography is fitted from the corner cells to them, and the rotation is
+    kept when every cell lands on a distinct detection within half the median
+    nearest-neighbor spacing. Returns one ``(cost, index)`` per kept rotation:
+    ``index[i]`` is the detection of ``cells[i]``, and ``cost`` the summed
+    distance from the cells to their detections. Raises
+    :class:`LatticeMatchError` when fewer than four detections lie on the
+    outline.
     """
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    np.fill_diagonal(dist, np.inf)
-    pitch = np.median(dist.min(axis=1))
-    steps = diff[(dist < 1.45 * pitch)]
-    flip = (steps[:, 1] < 0) | ((steps[:, 1] == 0) & (steps[:, 0] < 0))
-    steps[flip] *= -1.0
+    ang = np.deg2rad(np.arange(360.0))
+    outline = pts[np.unique(np.argmax(pts @ np.stack([np.cos(ang), np.sin(ang)]), axis=0))]
+    if len(outline) < 4:
+        raise LatticeMatchError(f"only {len(outline)} detection(s) on the outline; a grid needs 4 corners")
+    # side[i, j, k] is twice the signed area of triangle (i, j, k), so the largest
+    # quadrilateral with diagonal (i, j) takes the extreme k on either side.
+    rel = outline[None, :, :] - outline[:, None, :]
+    side = rel[:, :, None, 0] * rel[:, None, :, 1] - rel[:, :, None, 1] * rel[:, None, :, 0]
+    i, j = np.unravel_index(np.argmax(side.max(axis=2) - side.min(axis=2)), side.shape[:2])
+    quad = outline[[i, np.argmin(side[i, j]), j, np.argmax(side[i, j])]]
 
-    def dominant(cands: np.ndarray) -> np.ndarray:
-        ang = np.arctan2(cands[:, 1], cands[:, 0])  # in [0, pi)
-        hist, edges = np.histogram(ang, bins=36, range=(0.0, np.pi))
-        center = 0.5 * (edges[:-1] + edges[1:])[int(np.argmax(hist))]
-        dang = np.abs((ang - center + np.pi / 2) % np.pi - np.pi / 2)
-        members = cands[dang < np.deg2rad(15.0)]
-        if len(members) == 0:
-            raise LatticeMatchError("no dominant lattice direction found")
-        ref = members[0] / np.linalg.norm(members[0])
-        members = members * np.sign(members @ ref)[:, None]
-        return members.mean(axis=0)
-
-    u = dominant(steps)
-    ang_u = np.arctan2(steps[:, 1], steps[:, 0]) - np.arctan2(u[1], u[0])
-    off_axis = np.abs((ang_u + np.pi / 2) % np.pi - np.pi / 2) > np.deg2rad(30.0)
-    if not np.any(off_axis):
-        raise LatticeMatchError("points are collinear; no second lattice direction")
-    v = dominant(steps[off_axis])
-    if u[0] * v[1] - u[1] * v[0] < 0:
-        v = -v
-    return u, v
-
-
-def _integer_grid(points: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Integer lattice coordinates of each point, refined by one LSQ pass."""
-    B = np.column_stack([u, v])
-    rel = points - points[0]
-    coords = np.linalg.solve(B, rel.T).T
-    grid = np.rint(coords)
-    # Re-fit the affine lattice (basis + offset) to the rounded assignment,
-    # then re-round; absorbs curvature from mild perspective.
-    design = np.column_stack([grid, np.ones(len(points))])
-    fit, *_ = np.linalg.lstsq(design, points, rcond=None)
-    coords = np.linalg.solve(fit[:2].T, (points - fit[2]).T).T
-    grid = np.rint(coords)
-    err = np.max(np.abs(coords - grid))
-    if err > 0.25:
-        raise LatticeMatchError(f"points deviate from a lattice (max {err:.2f} cells)")
-    grid = grid.astype(int)
-    grid -= grid.min(axis=0)
-    if len(np.unique(grid, axis=0)) != len(grid):
-        raise LatticeMatchError("multiple points share one lattice cell")
-    return grid
+    corners = _corner_cells(cells)
+    nodes = np.column_stack([cells, np.ones(len(cells))])
+    nn = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    np.fill_diagonal(nn, np.inf)
+    accept = 0.5 * np.median(nn.min(axis=1))
+    kept = []
+    for k in range(4):
+        try:
+            H = camera.estimate_homography(corners, np.roll(quad, -k, axis=0))
+        except camera.DegenerateGeometryError:
+            continue
+        ph = nodes @ H.T
+        d = np.linalg.norm(ph[:, None, :2] / ph[:, None, 2:] - pts[None, :, :], axis=2)
+        idx = np.argmin(d, axis=1)
+        dmin = d[np.arange(len(cells)), idx]
+        if len(np.unique(idx)) == len(cells) and dmin.max() <= accept:
+            kept.append((float(dmin.sum()), idx))
+    return kept
 
 
-def _model_grid(model_xy: np.ndarray) -> np.ndarray:
+def _model_grid(model_points: np.ndarray) -> np.ndarray:
+    """Integer grid cells (x, y) of a model's features.
+
+    Raises :class:`LatticeMatchError` unless the features lie in one plane on
+    a square lattice, with a feature at each corner of the grid's bounding
+    box for :func:`_grid_alignments` to take as a corner.
+    """
+    mp = np.asarray(model_points, dtype=float)
+    if np.max(np.abs(mp[:, 2] - mp[0, 2])) > 1e-6:
+        raise LatticeMatchError("bootstrap requires a planar model")
+    model_xy = mp[:, :2]
     dist = np.linalg.norm(model_xy[:, None, :] - model_xy[None, :, :], axis=2)
     np.fill_diagonal(dist, np.inf)
     pitch = dist.min()
@@ -482,7 +487,10 @@ def _model_grid(model_xy: np.ndarray) -> np.ndarray:
     snapped = np.rint(grid)
     if np.max(np.abs(grid - snapped)) > 1e-6:
         raise LatticeMatchError("model features do not lie on a square lattice")
-    return snapped.astype(int)
+    cells = snapped.astype(int)
+    if not all((cells == c).all(axis=1).any() for c in _corner_cells(cells)):
+        raise LatticeMatchError("bootstrap requires a model feature at each corner of its grid's bounding box")
+    return cells
 
 
 def bootstrap_correspondence(
@@ -490,11 +498,14 @@ def bootstrap_correspondence(
 ) -> list[FeatureObservation]:
     """Match detections to a planar grid model without a prior pose.
 
-    Recovers the image-plane lattice of the detections, converts both point
-    sets to integer grid coordinates, and finds the unique in-plane rotation
-    (0/90/180/270 degrees) aligning the two occupancy patterns; the model's
-    deliberately missing cell makes the alignment unambiguous. Assumes every
-    model feature was detected (use a clean frame) and mild perspective.
+    The model must hold a feature at each of the four corners of its grid's
+    bounding box. The four outermost detections are taken as those corners,
+    and the one in-plane rotation (0/90/180/270 degrees) under which a
+    homography through them lays every model feature on a distinct
+    detection gives the labelling; the model's deliberately missing cell
+    makes it unique. The homography models perspective exactly, so the view
+    may be tilted; but every model feature must be detected, and nothing
+    else (use a clean frame).
 
     Returns the detections with ``model_index`` set, sorted by index.
     """
@@ -502,94 +513,37 @@ def bootstrap_correspondence(
         raise InsufficientCorrespondenceError(
             f"{len(detections)} detection(s); need at least 4 to bootstrap"
         )
-    mp = np.asarray(model_points, dtype=float)
-    if np.max(np.abs(mp[:, 2] - mp[0, 2])) > 1e-6:
-        raise LatticeMatchError("bootstrap requires a planar model")
-    model_grid = _model_grid(mp[:, :2])
+    cells = _model_grid(model_points)
     pts = np.stack([d.position for d in detections])
-    if len(pts) != len(mp):
+    if len(pts) != len(cells):
         raise LatticeMatchError(
-            f"{len(pts)} detections vs {len(mp)} model features; bootstrap needs all of them"
+            f"{len(pts)} detections vs {len(cells)} model features; bootstrap needs all of them"
         )
-    u, v = _lattice_axes(pts)
-    det_grid = _integer_grid(pts, u, v)
-
-    model_cells = {tuple(c): i for i, c in enumerate(model_grid)}
-    dims = det_grid.max(axis=0) + 1
-    matches = []
-    for k in range(4):
-        cells, d = det_grid.copy(), dims.copy()
-        for _ in range(k):
-            cells = np.column_stack([d[1] - 1 - cells[:, 1], cells[:, 0]])
-            d = d[::-1]
-        if set(map(tuple, cells)) == set(model_cells):
-            matches.append((k, cells))
+    matches = _grid_alignments(pts, cells)
     if len(matches) != 1:
         raise LatticeMatchError(
             f"{len(matches)} grid alignments fit the model; target pattern is ambiguous"
             if matches
             else "detected grid does not match the model occupancy pattern"
         )
-    _, cells = matches[0]
-    out = [
-        replace(det, model_index=model_cells[tuple(c)]) for det, c in zip(detections, cells)
-    ]
-    out.sort(key=lambda m: m.model_index)
-    return out
+    _, idx = matches[0]
+    return [replace(detections[d], model_index=i) for i, d in enumerate(idx)]
 
 
 def order_checkerboard_corners(points: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Order detected checkerboard inner corners row-major.
 
-    Finds the four outermost corners (maximum-area quadrilateral on the
-    convex hull), fits a projective map from grid coordinates for each of the
-    four cyclic corner labelings, and keeps the labeling under which every
-    grid node lands on a distinct detection. Returns the (rows*cols, 2)
+    Takes the four outermost detections as the board's corners and keeps,
+    of the four in-plane rotations under which a projective map from grid
+    coordinates lays every grid node on a distinct detection, the one whose
+    nodes lie closest to their detections. Returns the (rows*cols, 2)
     reordered points.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape != (rows * cols, 2):
         raise ValueError(f"expected {rows * cols} corner points, got {pts.shape}")
-    from scipy.spatial import ConvexHull
-    hull = ConvexHull(pts)
-    hv = hull.vertices
-
-    def quad_area(idx: tuple[int, ...]) -> float:
-        q = pts[hv[list(idx)]]
-        return 0.5 * abs(
-            np.dot(q[:, 0], np.roll(q[:, 1], -1)) - np.dot(q[:, 1], np.roll(q[:, 0], -1))
-        )
-
-    best = max(itertools.combinations(range(len(hv)), 4), key=quad_area)
-    corners = pts[hv[list(best)]]  # in hull (counterclockwise) order
-
-    grid_corners = np.array(
-        [[0.0, 0.0], [cols - 1.0, 0.0], [cols - 1.0, rows - 1.0], [0.0, rows - 1.0]]
-    )
-    jj, ii = np.meshgrid(np.arange(cols, dtype=float), np.arange(rows, dtype=float))
-    nodes = np.column_stack([jj.ravel(), ii.ravel()])
-
-    nn = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    np.fill_diagonal(nn, np.inf)
-    accept = 0.5 * np.median(nn.min(axis=1))
-
-    best_order, best_cost = None, np.inf
-    for shift in range(4):
-        labeled = np.roll(corners, -shift, axis=0)
-        try:
-            H = camera.estimate_homography(grid_corners, labeled)
-        except camera.DegenerateGeometryError:
-            continue
-        ph = np.column_stack([nodes, np.ones(len(nodes))]) @ H.T
-        proj = ph[:, :2] / ph[:, 2:3]
-        d = np.linalg.norm(proj[:, None, :] - pts[None, :, :], axis=2)
-        idx = np.argmin(d, axis=1)
-        dmin = d[np.arange(len(nodes)), idx]
-        if len(np.unique(idx)) != len(nodes) or np.max(dmin) > accept:
-            continue
-        cost = float(np.sum(dmin))
-        if cost < best_cost:
-            best_cost, best_order = cost, idx
-    if best_order is None:
+    jj, ii = np.meshgrid(np.arange(cols), np.arange(rows))
+    matches = _grid_alignments(pts, np.column_stack([jj.ravel(), ii.ravel()]))
+    if not matches:
         raise LatticeMatchError("could not order corners into a grid; check rows/cols")
-    return pts[best_order]
+    return pts[min(matches, key=lambda m: m[0])[1]]

@@ -199,6 +199,13 @@ def save_theta_csv(path: str | Path, theta_seq: np.ndarray, rate_hz: float) -> N
             w.writerow([k, _fmt(k / rate_hz)] + [_fmt(v) for v in row])
 
 
+def _time_step(path: str | Path, step: float) -> float:
+    """``step`` (s) between a file's first two samples, if finite and positive."""
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"{path}: t_sec step {step} is not finite and positive")
+    return step
+
+
 def load_theta_csv(path: str | Path) -> tuple[np.ndarray, float]:
     """Read a parameter sequence; returns (theta array (n,6), rate_hz)."""
     rows = []
@@ -209,8 +216,7 @@ def load_theta_csv(path: str | Path) -> tuple[np.ndarray, float]:
             rows.append([float(row[f"theta{i}"]) for i in range(1, 7)])
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 rows")
-    rate = 1.0 / (times[1] - times[0])
-    return np.array(rows), rate
+    return np.array(rows), 1.0 / _time_step(path, times[1] - times[0])
 
 
 def save_trajectory_csv(path: str | Path, traj: SwayTrajectory) -> None:
@@ -236,10 +242,11 @@ def load_trajectory_csv(path: str | Path) -> SwayTrajectory:
     if len(times) < 2:
         raise ValueError(f"{path}: need at least 2 samples")
     dt = np.diff(times)
-    if np.max(np.abs(dt - dt[0])) > 1e-6:
+    step = _time_step(path, float(dt[0]))
+    if not np.all(np.abs(dt - step) <= 1e-6):
         raise ValueError(f"{path}: timebase is not uniform")
     return SwayTrajectory(
-        sample_rate_hz=1.0 / float(dt[0]),
+        sample_rate_hz=1.0 / step,
         label=label,
         samples=np.array(samples),
         valid=np.array(valid, dtype=bool),

@@ -163,7 +163,7 @@ class PoseTrack:
     reports: list[FitReport | None]
 
     def __post_init__(self) -> None:
-        if self.rate_hz <= 0:
+        if not self.rate_hz > 0:
             raise ValueError("rate_hz must be positive")
 
     @property

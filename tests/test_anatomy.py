@@ -263,6 +263,12 @@ def test_interpolate_warns_on_leading_gap(caplog):
     assert len(caplog.records) >= 1
 
 
+@pytest.mark.parametrize("rate", [0.0, -30.0, float("nan")])
+def test_trajectory_rejects_a_rate_that_is_not_positive(rate):
+    with pytest.raises(ValueError, match="sample_rate_hz"):
+        _traj(np.zeros(10), rate=rate)
+
+
 def test_trajectory_axis_accessor():
     s = np.arange(30, dtype=float).reshape(10, 3)
     traj = SwayTrajectory(sample_rate_hz=30.0, label="x", samples=s, valid=np.ones(10, bool))

@@ -597,6 +597,16 @@ def test_agree_rejects_non_finite_rate(tmp_path, caplog, rate):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t_sec", ["0.0", "nan"])
+def test_agree_refuses_a_timebase_that_does_not_advance(tmp_path, caplog, t_sec):
+    p = tmp_path / "trajectory_a.csv"
+    p.write_text("t_sec,segment,AP_mm,ML_mm,SI_mm,valid\n" + f"{t_sec},a,1.0,0.0,0.0,1\n" * 20)
+    out = tmp_path / "agree.json"
+    assert main(["agree", "--a", str(p), "--b", str(p), "--out", str(out)]) == 2
+    assert "t_sec step" in caplog.text
+    assert not out.exists()
+
+
 def test_agree_disjoint_validity_fails_compute(tmp_path):
     n = 200
     valid_a = np.zeros(n, bool)

@@ -18,6 +18,7 @@ from swaykin import (
     GeometricTargetModel,
     InsufficientCorrespondenceError,
     KinematicParams,
+    LatticeMatchError,
     NoGradientError,
     bootstrap_correspondence,
     camera,
@@ -27,12 +28,15 @@ from swaykin import (
     detect_refined,
     detect_sequence,
     match_features,
+    motion_matrix,
+    order_checkerboard_corners,
     project,
     refine_subpixel,
     render_frame,
 )
 from swaykin import RigidTransform, _bands
 from swaykin.features import SOBEL_X, SOBEL_Y, _quadrant_kernels
+from swaykin.synth import DEFAULT_INTRINSICS
 
 
 def draw_saddle(shape, center, angle=0.0, half=10.0, contrast=0.4, aa=1.0):
@@ -150,8 +154,8 @@ def test_banded_likelihood_and_peaks_equal_one_band(monkeypatch):
 
 
 def test_banded_likelihood_from_many_threads_at_once():
-    """Callers in more threads than cores share the band pool, and each gets
-    its own image's map."""
+    """Callers in more threads than cores each start their own band threads,
+    and each gets its own image's map."""
     rng = np.random.default_rng(13)
     imgs = [rng.uniform(0.0, 1.0, (300, 90)) for _ in range(6)]
     want = [corner_likelihood(im) for im in imgs]
@@ -197,7 +201,7 @@ if __name__ == "__main__":
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_banded_likelihood_in_a_forked_child():
-    """A child forked after the band pool exists makes its own pool."""
+    """A child forked after an image call has run makes its own band threads."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
         [sys.executable, "-c", _FORK_PROBE], env={**os.environ, "PYTHONPATH": src},
@@ -429,6 +433,83 @@ def test_match_output_sorted_by_model_index():
     out = match_features(_obs(det[::-1]), pred, gate=3.0)
     idx = [o.model_index for o in out]
     assert idx == sorted(idx)
+
+
+# ---------------------------------------------------------------------------
+# bootstrap_correspondence and order_checkerboard_corners
+
+
+def _grid_xyz(rows, cols, skip=()):
+    """A rows x cols grid at 20 mm pitch, row-major, without the (row, col) cells in ``skip``."""
+    return np.array([(20.0 * j, 20.0 * i, 0.0) for i in range(rows) for j in range(cols) if (i, j) not in skip])
+
+
+def _view(points, theta, intr=DEFAULT_INTRINSICS, sigma=0.0, seed=0):
+    """Pixel positions of ``points`` seen from pose ``theta``, and the same as shuffled detections."""
+    M = motion_matrix(KinematicParams(*theta))
+    uv = project(intr, RigidTransform(M[:3, :3], M[:3, 3]), points)
+    rng = np.random.default_rng(seed)
+    uv = uv + rng.normal(0.0, sigma, uv.shape)
+    return uv, [FeatureObservation(uv[i], 1.0) for i in rng.permutation(len(uv))]
+
+
+def _assert_labels(out, uv):
+    assert [o.model_index for o in out] == list(range(len(uv)))
+    npt.assert_array_equal([o.position for o in out], uv)
+
+
+@pytest.mark.parametrize("name", ["lumbar", "shoulder"])
+def test_bootstrap_labels_every_in_plane_angle(name):
+    # Frontal views, 5 degrees apart, without noise.
+    model = default_target(name)
+    for deg in range(0, 360, 5):
+        uv, dets = _view(model.points, (np.deg2rad(deg), 0.0, 0.0, -30.0, -30.0, 1000.0), seed=deg)
+        _assert_labels(bootstrap_correspondence(dets, model.points), uv)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bootstrap_labels_an_oblique_view(seed):
+    # About 1 rad of tilt about x at 300 mm, which foreshortens one grid axis to about half the other.
+    model = default_target("lumbar")
+    intr = CameraIntrinsics(fx=1500, fy=1500, x0=1024, y0=1024)
+    theta = (0.4 + seed, 0.3, 1.0, -30.0, -30.0, 300.0)
+    uv, dets = _view(model.points, theta, intr, sigma=0.2, seed=seed)
+    _assert_labels(bootstrap_correspondence(dets, model.points), uv)
+
+
+def test_bootstrap_refuses_a_full_rectangular_board():
+    board = _grid_xyz(4, 5)
+    _, dets = _view(board, (0.3, 0.1, 0.1, -40.0, -30.0, 1000.0))
+    with pytest.raises(LatticeMatchError, match="ambiguous"):
+        bootstrap_correspondence(dets, board)
+
+
+def test_bootstrap_refuses_a_model_with_an_empty_grid_corner():
+    model = _grid_xyz(4, 4, skip=[(3, 0)])
+    _, dets = _view(model, (0.3, 0.0, 0.0, -30.0, -30.0, 1000.0))
+    with pytest.raises(LatticeMatchError, match="feature at each corner"):
+        bootstrap_correspondence(dets, model)
+    # A frames track is refused before its first frame, rather than left all gaps.
+    with pytest.raises(LatticeMatchError, match="feature at each corner"):
+        detect_sequence(iter(()), model, SEQ_INTR)
+
+
+def test_grid_search_needs_four_outline_points():
+    # A triangle's corners and its centroid: only three lie on the outline.
+    pts = np.array([[0.0, 0.0], [90.0, 0.0], [0.0, 90.0], [30.0, 30.0]])
+    with pytest.raises(LatticeMatchError, match="outline"):
+        bootstrap_correspondence([FeatureObservation(p, 1.0) for p in pts], _grid_xyz(2, 2))
+    with pytest.raises(LatticeMatchError, match="outline"):
+        order_checkerboard_corners(pts, 2, 2)
+
+
+@pytest.mark.parametrize("deg", [0.0, 90.0, 180.0])
+def test_order_checkerboard_corners_returns_a_rotation_of_the_board(deg):
+    rows, cols = 4, 5
+    uv, dets = _view(_grid_xyz(rows, cols), (np.deg2rad(deg) + 0.1, 0.2, -0.1, -40.0, -30.0, 1000.0), sigma=0.1)
+    got = order_checkerboard_corners(np.stack([d.position for d in dets]), rows, cols)
+    # A rectangular board maps onto itself only under the half turn, which reverses row-major order.
+    assert np.array_equal(got, uv) or np.array_equal(got, uv[::-1])
 
 
 # ---------------------------------------------------------------------------

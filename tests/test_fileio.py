@@ -208,6 +208,18 @@ def test_theta_csv_needs_two_rows(tmp_path):
         fileio.load_theta_csv(p)
 
 
+# A step that is zero (a repeated t_sec) or not a number.
+BAD_TIMES = [("0.0", "0.0", "0.0"), ("nan", "nan", "nan")]
+
+
+@pytest.mark.parametrize("times", BAD_TIMES)
+def test_theta_csv_rejects_a_step_that_is_not_positive(tmp_path, times):
+    p = tmp_path / "theta.csv"
+    p.write_text("t_sec,theta1,theta2,theta3,theta4,theta5,theta6\n" + "".join(f"{t},0,0,0,0,0,1000\n" for t in times))
+    with pytest.raises(ValueError, match="step"):
+        fileio.load_theta_csv(p)
+
+
 # ---------------------------------------------------------------------------
 # trajectory CSV
 
@@ -237,6 +249,21 @@ def test_trajectory_csv_rejects_nonuniform_time(tmp_path):
         "0.2,s,1.0,2.0,3.0,1\n"
     )
     with pytest.raises(ValueError):
+        fileio.load_trajectory_csv(p)
+
+
+@pytest.mark.parametrize("times", BAD_TIMES)
+def test_trajectory_csv_rejects_a_step_that_is_not_positive(tmp_path, times):
+    p = tmp_path / "bad.csv"
+    p.write_text("t_sec,segment,AP_mm,ML_mm,SI_mm,valid\n" + "".join(f"{t},s,1.0,2.0,3.0,1\n" for t in times))
+    with pytest.raises(ValueError, match="step"):
+        fileio.load_trajectory_csv(p)
+
+
+def test_trajectory_csv_rejects_a_later_nan_time(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("t_sec,segment,AP_mm,ML_mm,SI_mm,valid\n" + "".join(f"{t},s,1.0,2.0,3.0,1\n" for t in ("0.0", "0.1", "nan")))
+    with pytest.raises(ValueError, match="uniform"):
         fileio.load_trajectory_csv(p)
 
 

@@ -148,6 +148,26 @@ def test_frames_track_leaves_no_thread_running(tmp_path):
     assert json.loads(report.read_text()) == [True, 1]
 
 
+def test_frames_track_loads_no_scipy_spatial(tmp_path):
+    # Acquiring the target on frames labels its junctions without a convex hull.
+    scenario = {
+        "duration_sec": 0.2,
+        "rate_hz": 10.0,
+        "seed": 3,
+        "noise": {"sigma_px": 0.0, "dropout": 0.0},
+        "intrinsics": {"fx": 2000, "fy": 2000, "x0": 160, "y0": 160},
+        "image_size": [320, 320],
+        "targets": ["lumbar"],
+    }
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out", str(sim), "--render-frames"]) == 0
+    argv = ["track", "--config", str(sim / "track_config.json"), "--frames", str(sim / "frames_lumbar")]
+    steps = _scipy_modules_after(tmp_path, argv + ["--out", str(tmp_path / "out")])
+    assert "scipy.ndimage" in steps[1]
+    assert not [m for m in steps[1] if m == "scipy.spatial" or m.startswith("scipy.spatial.")]
+
+
 def test_all_is_what_the_package_imports():
     tree = ast.parse((SRC / "swaykin" / "__init__.py").read_text())
     imported = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]

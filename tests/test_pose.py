@@ -15,6 +15,7 @@ from swaykin import (
     InsufficientCorrespondenceError,
     KinematicParams,
     NoiseSpec,
+    PoseTrack,
     RigidTransform,
     SwayProfile,
     TrackingError,
@@ -440,6 +441,12 @@ def test_track_times_property():
     theta = KinematicParams(0, 0, 0, 0, 0, 1000.0)
     track = track_sequence([_exact_obs(theta)] * 5, MODEL, INTR, rate_hz=25.0)
     npt.assert_allclose(track.times, np.arange(5) / 25.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rate", [0.0, -25.0, float("nan")])
+def test_pose_track_rejects_a_rate_that_is_not_positive(rate):
+    with pytest.raises(ValueError, match="rate_hz"):
+        PoseTrack(rate_hz=rate, reports=[])
 
 
 def test_track_with_rendered_observations():
