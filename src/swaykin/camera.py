@@ -407,7 +407,8 @@ def calibrate(
     -----
     Closed-form initialization (per-view DLT homographies, absolute-conic
     intrinsics, homography-decomposition extrinsics) followed by a joint
-    Levenberg-Marquardt refinement of all parameters.
+    Levenberg-Marquardt refinement of all parameters, whose residual
+    projects all views in one :func:`project` call.
     """
     X = np.asarray(board_xy, dtype=float)
     if len(image_points) < 3:
@@ -416,6 +417,7 @@ def calibrate(
     for i, p in enumerate(views):
         if p.shape != X.shape:
             raise ValueError(f"view {i} has shape {p.shape}, expected {X.shape}")
+    observed = np.stack(views)
 
     Hs = [estimate_homography(X, p) for p in views]
     K0 = _intrinsics_from_homographies(Hs)
@@ -427,20 +429,17 @@ def calibrate(
     from scipy import optimize
     from scipy.spatial.transform import Rotation
 
-    def unpack(params: np.ndarray) -> tuple[CameraIntrinsics, list[RigidTransform]]:
-        fx, fy, x0, y0, skew, k1, k2 = params[:7]
+    identity = RigidTransform.identity()
+
+    def unpack(params: np.ndarray) -> tuple[CameraIntrinsics, np.ndarray, np.ndarray]:
         segs = params[7:].reshape(n_views, 6)
-        rotations = Rotation.from_rotvec(segs[:, :3]).as_matrix()
-        return (
-            CameraIntrinsics(fx=fx, fy=fy, x0=x0, y0=y0, skew=skew, k1=k1, k2=k2),
-            [RigidTransform(R, t) for R, t in zip(rotations, segs[:, 3:])],
-        )
+        return CameraIntrinsics(*params[:7]), Rotation.from_rotvec(segs[:, :3]).as_matrix(), segs[:, 3:]
 
     def residuals(params: np.ndarray) -> np.ndarray:
-        intr, poses = unpack(params)
-        return np.concatenate(
-            [(project(intr, pose, X3, apply_distortion=True) - uv).ravel() for pose, uv in zip(poses, views)]
-        )
+        # The board in every view's camera frame, (V, n, 3).
+        intr, R, t = unpack(params)
+        board = X3 @ R.swapaxes(1, 2) + t[:, None]
+        return (project(intr, identity, board, apply_distortion=True) - observed).ravel()
 
     p0 = np.zeros(7 + 6 * n_views)
     p0[:7] = [K0.fx, K0.fy, K0.x0, K0.y0, K0.skew, 0.0, 0.0]
@@ -449,7 +448,8 @@ def calibrate(
     segs0[:, 3:] = [pose.translation for pose in poses0]
 
     sol = optimize.least_squares(residuals, p0, method="lm", xtol=1e-14, ftol=1e-14)
-    intr, extr = unpack(sol.x)
+    intr, R, t = unpack(sol.x)
+    extr = [RigidTransform(Ri, ti) for Ri, ti in zip(R, t)]
     n_pts = sum(len(p) for p in views)
     rms = float(np.sqrt(np.sum(sol.fun**2) / n_pts))
     logger.info("calibrated %d views, RMS %.4f px", n_views, rms)

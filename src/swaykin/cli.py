@@ -404,7 +404,7 @@ def cmd_track(args: argparse.Namespace) -> int:
         elif seg in frames_cfg:
             obs_frames = _ingest_frames_dir(_resolve(base_frames, frames_cfg[seg]), model, intr)
         else:
-            raise ConfigError(f"segment '{seg}' has neither a features CSV nor a frames directory")
+            raise ConfigError("neither a features CSV nor a frames directory is configured")
 
         track = pose.track_sequence(obs_frames, model, intr, rate_hz=rate)
         raw = _trajectory_from_track(track, model, frame, seg)
@@ -424,8 +424,14 @@ def cmd_track(args: argparse.Namespace) -> int:
             f"mean RMS {mean_rms:.3f} px"
         )
 
+    # An error names its segment; the type it is raised as keeps its exit code.
     for seg, model in targets:
-        run_segment(seg, model)
+        try:
+            run_segment(seg, model)
+        except (ConfigError, OSError) as e:
+            raise ConfigError(f"segment '{seg}': {e}") from e
+        except _COMPUTE_ERRORS as e:
+            raise pose.TrackingError(f"segment '{seg}': {e}") from e
     print(f"trajectories -> {out}")
     return EXIT_OK
 
@@ -621,10 +627,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except ConfigError as e:
-        logger.error("%s", e)
-        return EXIT_USAGE
-    except OSError as e:
+    except (ConfigError, OSError) as e:
         logger.error("%s", e)
         return EXIT_USAGE
     except _COMPUTE_ERRORS as e:

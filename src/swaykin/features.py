@@ -30,6 +30,8 @@ REFINE_RADIUS = 5
 # Frames named in a warning about a whole sequence; the rest are counted.
 _GAPS_SHOWN = 5
 
+MIN_OBSERVATIONS = 4  # matched observations that a pose fit needs
+
 # Structure-tensor conditioning limit for sub-pixel refinement.
 MAX_TENSOR_CONDITION = 1e8
 
@@ -258,7 +260,7 @@ def match_features(
     Greedy one-to-one nearest-neighbor assignment in ascending distance
     order; pairs farther apart than ``gate`` pixels are rejected. The index
     of the matched prediction becomes each observation's ``model_index``.
-    Raises :class:`InsufficientCorrespondenceError` below 4 matches.
+    Raises :class:`InsufficientCorrespondenceError` below ``MIN_OBSERVATIONS`` matches.
     """
     pred = np.asarray(predicted, dtype=float).reshape(-1, 2)
     if detections and len(pred):
@@ -278,9 +280,9 @@ def match_features(
             matched.append(replace(detections[i], model_index=j))
     else:
         matched = []
-    if len(matched) < 4:
+    if len(matched) < MIN_OBSERVATIONS:
         raise InsufficientCorrespondenceError(
-            f"only {len(matched)} feature(s) matched within {gate} px; need at least 4"
+            f"only {len(matched)} feature(s) matched within {gate} px; need at least {MIN_OBSERVATIONS}"
         )
     matched.sort(key=lambda m: m.model_index)
     return matched

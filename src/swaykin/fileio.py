@@ -99,8 +99,8 @@ def save_target(path: str | Path, model: GeometricTargetModel) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def load_target(path: str | Path, validate: bool = True) -> GeometricTargetModel:
-    """Load a target model; by default also checks its rotational asymmetry."""
+def load_target(path: str | Path) -> GeometricTargetModel:
+    """Load a target model and check its rotational asymmetry."""
     doc = json.loads(Path(path).read_text())
     model = GeometricTargetModel(
         name=doc["name"],
@@ -111,8 +111,7 @@ def load_target(path: str | Path, validate: bool = True) -> GeometricTargetModel
             else None
         ),
     )
-    if validate:
-        validate_asymmetry(model)
+    validate_asymmetry(model)
     return model
 
 

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from swaykin import camera
-from swaykin.features import FeatureObservation, InsufficientCorrespondenceError, _first_frames
+from swaykin.features import MIN_OBSERVATIONS, FeatureObservation, InsufficientCorrespondenceError, _first_frames
 
 if TYPE_CHECKING:
     from swaykin.target import GeometricTargetModel
@@ -30,7 +30,6 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 GIMBAL_MARGIN = 1e-6
-MIN_OBSERVATIONS = 4
 # Stopping rules (see _levenberg_marquardt and fit_pose): relative cost
 # decrease, for both solvers, and fit_pose's scaled gradient.
 _COST_TOL = 1e-6
@@ -179,19 +178,6 @@ class PoseTrack:
         return np.arange(self.n_frames) / self.rate_hz
 
 
-def _check_matched(
-    model: "GeometricTargetModel", obs: Sequence[FeatureObservation]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Target points (m, 3) and observed pixels (m, 2) of matched observations."""
-    if any(o.model_index is None for o in obs):
-        raise ValueError("all observations must carry a model_index")
-    idx = np.array([o.model_index for o in obs], dtype=int)
-    bad = idx[(idx < 0) | (idx >= len(model.points))]
-    if len(bad):
-        raise ValueError(f"model_index {bad[0]} is outside [0, {len(model.points)}) of target '{model.name}'")
-    return model.points[idx], np.stack([o.position for o in obs])
-
-
 # q @ _CROSS, reshaped to (..., 3, 3), is the matrix [q]x^T: v @ it = q x v.
 _CROSS = np.cross(np.eye(3)[:, None], np.eye(3)).reshape(3, 9)
 
@@ -258,7 +244,8 @@ def reprojection_residuals(
 ) -> np.ndarray:
     """Signed residual vector (2m,): predicted minus observed pixels, in
     observation order (u then v per feature)."""
-    return _residuals_array(theta.as_array(), *_check_matched(model, obs), intrinsics)
+    points, uv, _ = _stack_observations(model, [obs])
+    return _residuals_array(theta.as_array(), points[0], uv[0], intrinsics)
 
 
 def _jacobian(
@@ -405,15 +392,15 @@ def initialize_first_frame(
         raise InsufficientCorrespondenceError(
             f"{len(obs)} observation(s); initialization needs at least {MIN_OBSERVATIONS}"
         )
-    pts, obs_uv = _check_matched(model, obs)
+    points, uv, _ = _stack_observations(model, [obs])
 
     centroid = model.points.mean(axis=0)
     _, sv, Vt = np.linalg.svd(model.points - centroid)
     if sv[2] <= 1e-6:
         if np.linalg.det(Vt) < 0:
             Vt = Vt * np.array([[1.0], [1.0], [-1.0]])
-        plane_xy = (pts - centroid) @ Vt[:2].T
-        pose = camera.estimate_planar_extrinsics(intrinsics, plane_xy, obs_uv)
+        plane_xy = (points[0] - centroid) @ Vt[:2].T
+        pose = camera.estimate_planar_extrinsics(intrinsics, plane_xy, uv[0])
         # Compose plane-to-camera with the model-to-plane basis change.
         R = pose.rotation @ Vt
         t = pose.translation - R @ centroid
@@ -509,15 +496,27 @@ def _stack_observations(
     model: "GeometricTargetModel", frames: Sequence[Sequence[FeatureObservation]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Target points (F, m, 3), observed pixels (F, m, 2) and a residual mask
-    (F, 2m), padded to the largest frame; padding repeats model point 0."""
-    m = max((len(obs) for obs in frames), default=0)
-    points = np.broadcast_to(model.points[0], (len(frames), m, 3)).copy()
-    uv = np.zeros((len(frames), m, 2))
-    mask = np.zeros((len(frames), 2 * m))
-    for f, obs in enumerate(frames):
-        points[f, : len(obs)], uv[f, : len(obs)] = _check_matched(model, obs)
-        mask[f, : 2 * len(obs)] = 1.0
-    return points, uv, mask
+    (F, 2m) of F frames, padded to the largest frame with model point 0, zero
+    pixels and a zero mask; this module's one reader of observations. Every
+    ``model_index`` is checked at once, and the first observation in frame
+    order without one, or with one outside the target, decides the ValueError."""
+    flat = [o for obs in frames for o in obs]
+    # None becomes NaN, which fails both bounds.
+    idx = np.array([o.model_index for o in flat], dtype=float)
+    outside = ~((idx >= 0) & (idx < len(model.points)))
+    if outside.any():
+        first = flat[int(np.argmax(outside))].model_index
+        if first is None:
+            raise ValueError("all observations must carry a model_index")
+        raise ValueError(f"model_index {first} is outside [0, {len(model.points)}) of target '{model.name}'")
+    sizes = np.array([len(obs) for obs in frames], dtype=int)
+    # Row-major order is frame order, so the filled slots take the flat list.
+    filled = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    points = np.broadcast_to(model.points[0], filled.shape + (3,)).copy()
+    points[filled] = model.points[idx.astype(int)]
+    uv = np.zeros(filled.shape + (2,))
+    uv[filled] = np.array([o.position for o in flat], dtype=float).reshape(-1, 2)
+    return points, uv, np.repeat(filled, 2, axis=1).astype(float)
 
 
 def _linearize(
@@ -638,11 +637,11 @@ def track_sequence(
     starts from the most recent fit. Frames with fewer than 4 matched
     observations (or where initialization or fitting fails) get status
     ``gap`` and no report, and stay gaps; the frames that fail are named in
-    one warning. Raises :class:`TrackingError` if nothing fits. Every
-    non-empty frame, short ones included, is checked once: an observation
-    without a ``model_index`` or with one outside the target raises
-    ``ValueError``. The fittable frames are stacked once, and both solvers
-    read them from that stack.
+    one warning. Raises :class:`TrackingError` if nothing fits. The whole
+    run, short and empty frames included, is stacked once, and both solvers
+    read its rows. An observation without a ``model_index`` or with one
+    outside the target raises ``ValueError``; the first in frame order is
+    reported.
 
     The per-frame fits then seed an iterated fixed-interval Rauch-Tung-
     Striebel smoother over the 6-DOF pose (Rauch, Tung & Striebel, AIAA J.
@@ -673,20 +672,17 @@ def track_sequence(
     the jerk densities), and the rank-deficient frames among them are named
     in one warning.
     """
-    usable = [i for i, obs in enumerate(frames) if len(obs) >= MIN_OBSERVATIONS]
-    for obs in frames:
-        if 0 < len(obs) < MIN_OBSERVATIONS:
-            _check_matched(model, obs)  # the stack checks the usable frames
-    points, uv, mask = _stack_observations(model, [frames[i] for i in usable])
-    rows: list[int] = []
+    points, uv, mask = _stack_observations(model, frames)
+    fitted: list[int] = []
     fits: list[tuple[np.ndarray, int, bool]] = []
     failed: list[int] = []
-    for f, i in enumerate(usable):
-        n = len(frames[i])
+    for i, obs in enumerate(frames):
+        if len(obs) < MIN_OBSERVATIONS:
+            continue
         try:
-            init = fits[-1][0] if fits else initialize_first_frame(model, frames[i], intrinsics).as_array()
-            fits.append(_fit(init, points[f, :n], uv[f, :n], intrinsics, 100))
-            rows.append(f)
+            init = fits[-1][0] if fits else initialize_first_frame(model, obs, intrinsics).as_array()
+            fits.append(_fit(init, points[i, : len(obs)], uv[i, : len(obs)], intrinsics, 100))
+            fitted.append(i)
         except (GimbalLockError, camera.DegenerateGeometryError, camera.BehindCameraError) as e:
             logger.debug("frame %d: %s; marking gap", i, e)
             failed.append(i)
@@ -698,11 +694,10 @@ def track_sequence(
     if not fits:
         raise TrackingError("no frame in the sequence could be fitted")
 
-    fitted = [usable[f] for f in rows]
-    # The fitted frames' stack, padded to the largest of them; the names are
-    # rebound so that the first stack is freed.
+    # The fitted frames' rows, padded to the largest of them; the names are
+    # rebound so that the run's stack is freed.
     pad = max(len(frames[i]) for i in fitted)
-    points, uv, mask = stack = points[rows, :pad], uv[rows, :pad], mask[rows, : 2 * pad]
+    points, uv, mask = stack = points[fitted, :pad], uv[fitted, :pad], mask[fitted, : 2 * pad]
     theta = np.array([th for th, _, _ in fits])
     rms, cov, degenerate = _evaluate(*_linearize(theta, stack, intrinsics), stack[2])
     m = np.sum(stack[2], axis=1) / 2

@@ -318,6 +318,22 @@ def test_track_refuses_model_index_outside_target_on_short_frame(tmp_path, caplo
     assert list(out.iterdir()) == []
 
 
+def test_track_error_names_its_segment(tmp_path, caplog):
+    sc = dict(SCENARIO, duration_sec=0.3, targets=["lumbar", "shoulder"])
+    (tmp_path / "scenario.json").write_text(json.dumps(sc))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out", str(sim)]) == 0
+    frames = fileio.load_features_csv(sim / "features_shoulder.csv")
+    o = frames[4][0]
+    frames[4][0] = FeatureObservation(o.position, o.score, model_index=99)
+    fileio.save_features_csv(sim / "features_shoulder.csv", frames)
+    caplog.clear()
+    assert main(["track", "--config", str(sim / "track_config.json"), "--out", str(tmp_path / "o")]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    assert errors[0].startswith("segment 'shoulder': ") and "model_index 99 is outside" in errors[0]
+
+
 def test_track_refuses_negative_frame_number(tmp_path, caplog):
     sim = _simulate_short(tmp_path, {"sigma_px": 0.2, "dropout": 0.0})
     with open(sim / "features_lumbar.csv", "a") as f:

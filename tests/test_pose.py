@@ -207,6 +207,24 @@ def test_residuals_and_jacobian_under_general_camera():
         assert np.max(np.abs(J[f] - J_ref) / np.maximum(np.abs(J_ref), 1.0)) < 1e-5
 
 
+def test_stack_scatters_each_frame_into_its_padded_row():
+    # Frames of every kind, against a frame-by-frame reference.
+    from swaykin.pose import _stack_observations
+
+    rng = np.random.default_rng(34)
+    obs = _exact_obs(HOME)
+    frames = [[], [obs[k] for k in rng.permutation(15)[:5]], obs[:3], [], list(reversed(obs))]
+    points, uv, mask = _stack_observations(MODEL, frames)
+    assert points.shape == (5, 15, 3) and uv.shape == (5, 15, 2) and mask.shape == (5, 30)
+    for f, frame in enumerate(frames):
+        n = len(frame)
+        npt.assert_array_equal(points[f, :n], MODEL.points[[o.model_index for o in frame]].reshape(-1, 3))
+        npt.assert_array_equal(uv[f, :n], np.array([o.position for o in frame]).reshape(-1, 2))
+        npt.assert_array_equal(points[f, n:], np.broadcast_to(MODEL.points[0], (15 - n, 3)))
+        npt.assert_array_equal(uv[f, n:], 0.0)
+        npt.assert_array_equal(mask[f], np.arange(30) < 2 * n)
+
+
 def test_stacked_residuals_name_the_feature_behind_the_camera():
     th = np.tile(_theta_array(HOME), (4, 1))
     pts = np.broadcast_to(MODEL.points, (4,) + MODEL.points.shape).copy()
@@ -739,4 +757,42 @@ def test_track_refuses_model_index_outside_target_on_short_frame(index):
     o = frames[3][0]
     frames[3] = [FeatureObservation(o.position, o.score, model_index=index), *frames[3][1:3]]
     with pytest.raises(ValueError, match=f"model_index {index} is outside \\[0, 15\\)"):
+        track_sequence(frames, MODEL, INTR)
+
+
+def _unindexed(obs, k=0):
+    """``obs`` with observation ``k`` stripped of its model_index."""
+    o = obs[k]
+    return [*obs[:k], FeatureObservation(o.position, o.score), *obs[k + 1:]]
+
+
+@pytest.mark.parametrize("frame, size", [(3, 3), (3, 15), (0, 15)], ids=["short", "fittable", "first"])
+def test_track_refuses_an_observation_without_model_index(frame, size):
+    theta = KinematicParams(0.02, 0.01, 0.0, 1.0, -1.0, 1000.0)
+    frames = [_exact_obs(theta) for _ in range(6)]
+    frames[frame] = _unindexed(frames[frame][:size], k=1)
+    with pytest.raises(ValueError, match="all observations must carry a model_index"):
+        track_sequence(frames, MODEL, INTR)
+
+
+def test_single_frame_solvers_refuse_an_observation_without_model_index():
+    obs = _unindexed(_exact_obs(HOME), k=4)
+    message = "all observations must carry a model_index"
+    with pytest.raises(ValueError, match=message):
+        fit_pose(HOME, MODEL, obs, INTR)
+    with pytest.raises(ValueError, match=message):
+        initialize_first_frame(MODEL, obs, INTR)
+    with pytest.raises(ValueError, match=message):
+        reprojection_residuals(HOME, MODEL, obs, INTR)
+
+
+def test_track_reports_the_first_bad_model_index_in_frame_order():
+    # Fittable frame 1 comes before short frame 3, so its index is the one named.
+    theta = KinematicParams(0.02, 0.01, 0.0, 1.0, -1.0, 1000.0)
+    frames = [_exact_obs(theta) for _ in range(6)]
+    o = frames[1][2]
+    frames[1][2] = FeatureObservation(o.position, o.score, model_index=99)
+    o = frames[3][0]
+    frames[3] = [FeatureObservation(o.position, o.score, model_index=42), *frames[3][1:3]]
+    with pytest.raises(ValueError, match="model_index 99 is outside \\[0, 15\\)"):
         track_sequence(frames, MODEL, INTR)
