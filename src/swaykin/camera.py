@@ -436,8 +436,8 @@ def calibrate(
         return CameraIntrinsics(*params[:7]), Rotation.from_rotvec(segs[:, :3]).as_matrix(), segs[:, 3:]
 
     def residuals(params: np.ndarray) -> np.ndarray:
-        # The board in every view's camera frame, (V, n, 3).
         intr, R, t = unpack(params)
+        # The board in every view's camera frame, (V, n, 3).
         board = X3 @ R.swapaxes(1, 2) + t[:, None]
         return (project(intr, identity, board, apply_distortion=True) - observed).ravel()
 
