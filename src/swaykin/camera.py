@@ -219,18 +219,20 @@ def undistort_frame(
     """Resample an image so straight lines are straight under the pinhole model.
 
     Each output pixel is bilinearly sampled from the source at its distorted
-    location, :func:`distort_point`; samples outside the source are 0. The
-    output is remapped in row bands across the cores, each band sampling the
-    whole source, so the result equals one pass over the whole grid value for
-    value, and only one band's remap is held at a time per core.
+    location, :func:`distort_point`; samples outside the source are 0. A
+    uint8 image is taken as value / 255. The output is remapped in row bands
+    across the cores. Each band converts to floats only the source rows and
+    columns that it samples, plus a 1-px margin, clipped to the image, and
+    shifts its coordinates by the crop's integer origin, which is exact: the
+    result equals one pass over the whole float image value for value.
 
     ``window = (u0, v0, u1, v1)`` remaps only the output columns
-    ``u0 <= u < u1`` and rows ``v0 <= v < v1``, still sampling the whole
-    source: the result equals ``undistort_frame(intrinsics, image)[v0:v1, u0:u1]``
-    value for value. An empty window or one that leaves the image raises
-    ``ValueError``.
+    ``u0 <= u < u1`` and rows ``v0 <= v < v1``: the result equals
+    ``undistort_frame(intrinsics, image)[v0:v1, u0:u1]`` value for value. An
+    empty window or one that leaves the image raises ``ValueError``.
     """
-    img = np.asarray(image, dtype=float)
+    img = image if getattr(image, "dtype", None) == np.uint8 else np.asarray(image, dtype=float)
+    scale = 255.0 if img.dtype == np.uint8 else 1.0
     if img.ndim != 2 or img.size == 0:
         raise ValueError(f"expected a nonempty 2D grayscale image, got shape {img.shape}")
     h, w = img.shape
@@ -238,7 +240,7 @@ def undistort_frame(
     if not (0 <= u0 < u1 <= w and 0 <= v0 < v1 <= h):
         raise ValueError(f"window {window} is empty or leaves the {w}x{h} image")
     if not intrinsics.has_distortion:
-        return img[v0:v1, u0:u1].copy()
+        return np.divide(img[v0:v1, u0:u1], scale)
     from scipy import ndimage
     out = np.empty((v1 - v0, u1 - u0))
     cols = np.arange(u0, u1, dtype=float)
@@ -246,8 +248,11 @@ def undistort_frame(
     def remap(b0: int, b1: int) -> None:
         vv, uu = np.meshgrid(np.arange(v0 + b0, v0 + b1, dtype=float), cols, indexing="ij")
         src = distort_point(intrinsics, np.stack([uu, vv], axis=-1))
+        lo = np.clip(np.floor(src.min(axis=(0, 1))) - 1, 0, [w - 1, h - 1]).astype(int)
+        hi = np.clip(np.floor(src.max(axis=(0, 1))) + 2, lo + 1, [w, h]).astype(int)
+        crop = np.divide(img[lo[1] : hi[1], lo[0] : hi[0]], scale)
         ndimage.map_coordinates(
-            img, np.stack([src[..., 1], src[..., 0]]), output=out[b0:b1],
+            crop, np.stack([src[..., 1] - lo[1], src[..., 0] - lo[0]]), output=out[b0:b1],
             order=1, mode="constant", cval=0.0,
         )
 

@@ -327,7 +327,7 @@ def _ingest_frames_dir(
     """Read a directory's PGM frames in name order, one at a time, into
     :func:`features.detect_sequence`."""
     paths = _pgm_paths(dirpath)
-    frames = ((f"{dirpath.name}/{p.name}", _load_data(fileio.read_pgm, p, "frame")) for p in paths)
+    frames = ((f"{dirpath.name}/{p.name}", _load_data(fileio.read_pgm_u8, p, "frame")) for p in paths)
     return features.detect_sequence(frames, model.points, intr)
 
 
@@ -424,16 +424,21 @@ def cmd_track(args: argparse.Namespace) -> int:
             f"mean RMS {mean_rms:.3f} px"
         )
 
-    # An error names its segment; the type it is raised as keeps its exit code.
+    # A failed segment logs one error naming it and the others still run; the
+    # command exits with the first failure's code.
+    codes = []
     for seg, model in targets:
         try:
             run_segment(seg, model)
         except (ConfigError, OSError) as e:
-            raise ConfigError(f"segment '{seg}': {e}") from e
+            logger.error("segment '%s': %s", seg, e)
+            codes.append(EXIT_USAGE)
         except _COMPUTE_ERRORS as e:
-            raise pose.TrackingError(f"segment '{seg}': {e}") from e
-    print(f"trajectories -> {out}")
-    return EXIT_OK
+            logger.error("segment '%s': %s", seg, e)
+            codes.append(EXIT_COMPUTE)
+    if len(codes) < len(targets):
+        print(f"trajectories -> {out}")
+    return codes[0] if codes else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,10 @@ THRESHOLD_FRACTION = 0.5
 NMS_RADIUS = 8
 REFINE_RADIUS = 5
 
+# Block factor of detect_sequence's coarse acquisition pass, which resolves
+# junctions 40 px or more apart.
+COARSE_BLOCK = 4
+
 # Frames named in a warning about a whole sequence; the rest are counted.
 _GAPS_SHOWN = 5
 
@@ -325,16 +329,10 @@ def detect_sequence(
 ) -> list[list[FeatureObservation]]:
     """Undistort, detect and assign model correspondence frame by frame.
 
-    ``frames`` yields ``(name, raw image)`` pairs; each image is undistorted
-    with :func:`camera.undistort_frame` and detected with
-    :func:`detect_refined`. Positions are undistorted pixels.
-
-    A frame is first matched on the whole image by bootstrapping;
-    if that fails, each feature is gated to its last known position, which
-    tolerates missed detections. Frames that fail both routes become empty
-    (tracking gaps), reported in one warning at the end. A model that
-    bootstrapping cannot use raises :class:`LatticeMatchError` before the
-    first frame is read.
+    ``frames`` yields ``(name, raw image)`` pairs, float in [0, 1] or uint8
+    taken as value / 255. Images are undistorted with
+    :func:`camera.undistort_frame` and detected with :func:`detect_refined`.
+    Positions are undistorted pixels.
 
     After a frame has matched every model feature, the next frame is first
     undistorted and detected only inside a window: the bounding box of those
@@ -344,7 +342,17 @@ def detect_sequence(
     on the whole image; only the detection threshold is taken relative to
     the window's strongest response. The window's result is kept when its
     detections bootstrap to the whole model and each lies within the gate of
-    its last position; otherwise the frame takes the whole-image route above.
+    its last position.
+
+    A frame without such a window, or whose window fails, is acquired by a
+    coarse pass: detection on the raw frame's ``COARSE_BLOCK``-square block
+    means, whose centres are undistorted and bootstrapped to place a window
+    as above. When that fails too, the frame is matched on the whole image
+    by bootstrapping; if that fails, each feature is gated to its last
+    known position, which tolerates missed detections. Frames that fail
+    every route become empty (tracking gaps), reported in one warning at the
+    end. A model that bootstrapping cannot use raises
+    :class:`LatticeMatchError` before the first frame is read.
     """
     mp = np.asarray(model_points, dtype=float)
     _model_grid(mp)
@@ -358,28 +366,48 @@ def detect_sequence(
         offset = np.array(window[:2], dtype=float)
         return [replace(d, position=d.position + offset) for d in dets]
 
+    def in_window(image: np.ndarray, anchor: np.ndarray | None) -> list[FeatureObservation]:
+        """The whole model in the window about ``anchor``, each feature within the gate of it; else []."""
+        if anchor is None:
+            return []
+        gate = _match_gate(anchor)
+        h, w = np.shape(image)
+        lo = np.floor(anchor.min(axis=0) - gate) - reach
+        hi = np.ceil(anchor.max(axis=0) + gate) + reach + 1
+        window = (
+            int(max(lo[0], 0)), int(max(lo[1], 0)), int(min(hi[0], w)), int(min(hi[1], h))
+        )
+        try:
+            near = bootstrap_correspondence(detect(image, window), mp)
+        except (LatticeMatchError, InsufficientCorrespondenceError):
+            return []
+        # Bootstrap returns every feature in model order, as the anchor holds them.
+        moved = [np.linalg.norm(m.position - a) for m, a in zip(near, anchor)]
+        return near if max(moved) <= gate else []
+
+    def coarse_anchor(image: np.ndarray) -> np.ndarray | None:
+        """Each model feature's ideal position from the block means, or None;
+        detection is scale-free, so a uint8 frame's means stay unscaled."""
+        b = COARSE_BLOCK
+        h, w = (n // b for n in np.shape(image))
+        if min(h, w) < KERNEL_SIZE:
+            return None
+        dets = detect_refined(np.asarray(image)[: h * b, : w * b].reshape(h, b, w, b).mean(axis=(1, 3)))
+        if len(dets) != len(mp):  # bootstrap needs every feature and nothing else
+            return None
+        ideal = camera.undistort_point(intrinsics, np.stack([d.position for d in dets]) * b + (b - 1) / 2)
+        try:
+            found = bootstrap_correspondence([replace(d, position=p) for d, p in zip(dets, ideal)], mp)
+        except (LatticeMatchError, InsufficientCorrespondenceError):
+            return None
+        return np.stack([m.position for m in found])
+
     out: list[list[FeatureObservation]] = []
     gaps: list[str] = []
     last_pos: dict[int, np.ndarray] = {}
     anchor = None  # positions of the last frame that matched every feature
     for name, image in frames:
-        matched: list[FeatureObservation] = []
-        if anchor is not None:
-            gate = _match_gate(anchor)
-            h, w = np.shape(image)
-            lo = np.floor(anchor.min(axis=0) - gate) - reach
-            hi = np.ceil(anchor.max(axis=0) + gate) + reach + 1
-            window = (
-                int(max(lo[0], 0)), int(max(lo[1], 0)), int(min(hi[0], w)), int(min(hi[1], h))
-            )
-            try:
-                near = bootstrap_correspondence(detect(image, window), mp)
-            except (LatticeMatchError, InsufficientCorrespondenceError):
-                near = []
-            # Bootstrap returns every feature in model order, as the anchor holds them.
-            moved = [np.linalg.norm(m.position - a) for m, a in zip(near, anchor)]
-            if near and max(moved) <= gate:
-                matched = near
+        matched = in_window(image, anchor) or in_window(image, coarse_anchor(image))
         if not matched:
             dets = detect(image)
             try:

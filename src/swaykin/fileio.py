@@ -21,7 +21,13 @@ def _fmt(x) -> str:
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
-    """Read a binary (P5) 8-bit PGM into a float image in [0, 1]."""
+    """Read a binary (P5) 8-bit PGM into a float image in [0, 1], :func:`read_pgm_u8` / 255."""
+    return np.divide(read_pgm_u8(path), 255.0)
+
+
+def read_pgm_u8(path: str | Path) -> np.ndarray:
+    """Read a binary (P5) 8-bit PGM's pixels as a read-only (height, width)
+    uint8 array, without converting them."""
     data = Path(path).read_bytes()
     # Header: magic, width, height, maxval, separated by whitespace/comments.
     tokens: list[bytes] = []
@@ -45,11 +51,11 @@ def read_pgm(path: str | Path) -> np.ndarray:
     width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     if maxval != 255:
         raise ValueError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
-    raw = data[i + 1 : i + 1 + width * height]
-    if len(raw) < width * height:
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: PGM size {width}x{height} is empty")
+    if len(data) - (i + 1) < width * height:
         raise ValueError(f"{path}: truncated pixel data")
-    img = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
-    return img.astype(float) / 255.0
+    return np.frombuffer(data, dtype=np.uint8, count=width * height, offset=i + 1).reshape(height, width)
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:

@@ -180,6 +180,17 @@ def test_undistort_frame_window_equals_full_frame_slice(intr):
         npt.assert_array_equal(undistort_frame(intr, img, (u0, v0, u1, v1)), full[v0:v1, u0:u1])
 
 
+@pytest.mark.parametrize("intr", [WINDOW_INTR, CameraIntrinsics(fx=60, fy=60, x0=30, y0=22)])
+def test_undistort_frame_of_uint8_equals_that_of_its_floats(intr):
+    img = np.random.default_rng(9).integers(0, 256, (48, 64)).astype(np.uint8)
+    ref = np.divide(img, 255.0)
+    # The whole frame, an interior window and one touching the border.
+    for window in [None, (5, 7, 40, 30), (50, 0, 64, 11)]:
+        out = undistort_frame(intr, img, window)
+        assert out.dtype == np.float64
+        npt.assert_array_equal(out, undistort_frame(intr, ref, window))
+
+
 @pytest.mark.parametrize(
     "window",
     [(10, 10, 10, 20), (10, 20, 30, 20), (30, 10, 20, 20), (-1, 0, 10, 10), (0, -1, 10, 10), (0, 0, 65, 48), (0, 0, 64, 49), (70, 50, 80, 60)],

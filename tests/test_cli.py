@@ -334,6 +334,25 @@ def test_track_error_names_its_segment(tmp_path, caplog):
     assert errors[0].startswith("segment 'shoulder': ") and "model_index 99 is outside" in errors[0]
 
 
+def test_track_failed_segment_does_not_stop_the_others(tmp_path, caplog):
+    sc = dict(SCENARIO, duration_sec=0.3, targets=["lumbar", "shoulder"])
+    (tmp_path / "scenario.json").write_text(json.dumps(sc))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out", str(sim)]) == 0
+    frames = fileio.load_features_csv(sim / "features_lumbar.csv")
+    o = frames[4][0]
+    frames[4][0] = FeatureObservation(o.position, o.score, model_index=99)
+    fileio.save_features_csv(sim / "features_lumbar.csv", frames)
+    out = tmp_path / "o"
+    caplog.clear()
+    assert main(["track", "--config", str(sim / "track_config.json"), "--out", str(out)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith("segment 'lumbar': ")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "pose_shoulder.csv", "trajectory_raw_shoulder.csv", "trajectory_shoulder.csv"
+    ]
+
+
 def test_track_refuses_negative_frame_number(tmp_path, caplog):
     sim = _simulate_short(tmp_path, {"sigma_px": 0.2, "dropout": 0.0})
     with open(sim / "features_lumbar.csv", "a") as f:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -555,9 +556,9 @@ def test_sequence_window_matches_full_frame_detection(monkeypatch):
     windows = _windows_used(monkeypatch)
     out = detect_sequence(((f"f{k}", img) for k, img in enumerate(imgs)), SEQ_MODEL.points, SEQ_INTR)
     assert len(out) == len(imgs)
-    # Acquired on the whole frame, then every frame stays in its window.
-    assert windows[0] is None and len(windows) == len(imgs)
-    for w in windows[1:]:
+    # Acquired by the coarse pass in a window, then every frame stays in its window.
+    assert len(windows) == len(imgs)
+    for w in windows:
         assert w is not None and (w[2] - w[0]) * (w[3] - w[1]) < 0.5 * 320 * 320
     for got, img in zip(out, imgs):
         _assert_same_detections(got, _full_frame_reference(img))
@@ -569,8 +570,9 @@ def test_sequence_blank_frame_is_gap_then_reacquired(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="swaykin.features"):
         out = detect_sequence(((f"f{k}", img) for k, img in enumerate(imgs)), SEQ_MODEL.points, SEQ_INTR)
     assert out[2] == []
-    # The blank frame leaves no window for the next, which is found on the whole frame.
-    assert [w is None for w in windows] == [True, False, False, True, True]
+    # The blank frame fails its window, the coarse pass and the whole frame;
+    # the next frame is acquired again by the coarse pass, in a window.
+    assert [w is None for w in windows] == [False, False, False, True, False]
     _assert_same_detections(out[3], _full_frame_reference(imgs[3]))
     assert [r.getMessage() for r in caplog.records] == [
         "1 of 4 frames have no usable correspondence and are gaps: f2"
@@ -583,9 +585,53 @@ def test_sequence_target_beyond_window_recovered_by_full_frame(monkeypatch, jump
     imgs = [_seq_frame(0.0, 0.0, 4), _seq_frame(jump_mm, 0.0, 5)]
     windows = _windows_used(monkeypatch)
     out = detect_sequence(((f"f{k}", img) for k, img in enumerate(imgs)), SEQ_MODEL.points, SEQ_INTR)
-    assert windows[0] is None and windows[1] is not None and windows[2] is None
+    # The second frame's window fails; the coarse pass places a third window.
+    assert len(windows) == 3 and all(w is not None for w in windows)
     assert len(out[1]) == len(SEQ_MODEL.points)
     _assert_same_detections(out[1], _full_frame_reference(imgs[1]))
+
+
+def test_sequence_clean_frames_never_undistort_the_whole_frame(monkeypatch):
+    theta = [KinematicParams(0.01, -0.02, 0.015, -30.0 + 2 * k, -30.0 - k, 1000.0) for k in range(4)]
+    imgs = [render_frame(t, SEQ_MODEL, intrinsics=SEQ_INTR, image_size=(320, 320)) for t in theta]
+    windows = _windows_used(monkeypatch)
+    out = detect_sequence(((f"f{k}", img) for k, img in enumerate(imgs)), SEQ_MODEL.points, SEQ_INTR)
+    assert len(windows) == len(imgs) and None not in windows
+    assert all(len(obs) == len(SEQ_MODEL.points) for obs in out)
+
+
+def test_sequence_close_junctions_acquired_on_the_whole_frame(monkeypatch):
+    # At fx = 1000 the junctions are about 20 px apart, 5 blocks: too close for
+    # the coarse pass. Patches of half-width 6 px keep them from touching.
+    intr = replace(SEQ_INTR, fx=1000.0, fy=1000.0)
+    theta = [KinematicParams(0.01, -0.02, 0.015, -30.0 + k, -30.0, 1000.0) for k in range(2)]
+    rng = np.random.default_rng(8)
+    imgs = [
+        render_frame(t, SEQ_MODEL, intrinsics=intr, image_size=(320, 320), patch_half_px=6.0)
+        + rng.normal(0.0, 0.02, (320, 320))
+        for t in theta
+    ]
+    windows = _windows_used(monkeypatch)
+    out = detect_sequence(((f"f{k}", img) for k, img in enumerate(imgs)), SEQ_MODEL.points, intr)
+    assert windows[0] is None and len(windows) == 2 and windows[1] is not None
+    for got, img in zip(out, imgs):
+        ref = bootstrap_correspondence(detect_refined(camera.undistort_frame(intr, img)), SEQ_MODEL.points)
+        _assert_same_detections(got, ref)
+
+
+def test_sequence_uint8_frames_give_the_float_frames_observations():
+    # Acquisition, windows, a blank frame's whole-frame try and a jump out of the window.
+    imgs = [_seq_frame(0.0, 0.0, 1), _seq_frame(1.0, 1.0, 2), np.full((320, 320), 0.5), _seq_frame(2.0, 0.5, 3),
+            _seq_frame(12.0, 0.5, 4)]
+    u8 = [np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8) for img in imgs]
+    got = detect_sequence(((f"f{k}", img) for k, img in enumerate(u8)), SEQ_MODEL.points, SEQ_INTR)
+    ref = detect_sequence(
+        ((f"f{k}", np.divide(img, 255.0)) for k, img in enumerate(u8)), SEQ_MODEL.points, SEQ_INTR
+    )
+    assert [len(obs) for obs in got] == [15, 15, 0, 15, 15]
+    for g, r in zip(got, ref):
+        assert [o.model_index for o in g] == [o.model_index for o in r]
+        npt.assert_array_equal([o.position for o in g], [o.position for o in r])
 
 
 def test_sequence_gap_warning_is_aggregated(caplog):

@@ -36,6 +36,18 @@ def test_pgm_roundtrip_quantized(tmp_path):
     npt.assert_array_equal(back, np.rint(img * 255) / 255.0)
 
 
+def test_pgm_float_reader_is_the_uint8_reader_over_255(tmp_path):
+    pixels = np.random.default_rng(72).integers(0, 256, (21, 34)).astype(np.uint8)
+    p = tmp_path / "u8.pgm"
+    p.write_bytes(b"P5\n34 21\n255\n" + pixels.tobytes())
+    u8 = fileio.read_pgm_u8(p)
+    assert u8.dtype == np.uint8
+    npt.assert_array_equal(u8, pixels)
+    back = fileio.read_pgm(p)
+    assert back.dtype == np.float64
+    assert back.tobytes() == (u8.astype(float) / 255.0).tobytes()
+
+
 def test_pgm_reader_accepts_comments(tmp_path):
     p = tmp_path / "c.pgm"
     p.write_bytes(b"P5\n# a comment\n3 2\n# another\n255\n" + bytes(range(6)))
@@ -56,6 +68,14 @@ def test_pgm_reader_rejects_truncated(tmp_path):
     p.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
     with pytest.raises(ValueError):
         fileio.read_pgm(p)
+
+
+@pytest.mark.parametrize("size", [b"0 3", b"2 -1"])
+def test_pgm_reader_rejects_empty_or_negative_size(tmp_path, size):
+    p = tmp_path / "e.pgm"
+    p.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(4))
+    with pytest.raises(ValueError, match="is empty"):
+        fileio.read_pgm_u8(p)
 
 
 def test_pgm_reader_rejects_16bit(tmp_path):
