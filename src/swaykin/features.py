@@ -1,7 +1,8 @@
 """Checker-junction feature detection, sub-pixel refinement, and correspondence.
 
 Images are 2D float arrays with intensities in [0, 1], indexed [v, u]
-(row, column); point coordinates are (u, v) pixel pairs. Detection works by
+(row, column); :func:`detect_sequence` also accepts uint8 frames, taken as
+value / 255. Point coordinates are (u, v) pixel pairs. Detection works by
 convolving saddle-point prototype kernels at two orientations, composing the
 quadrant responses into a per-pixel likelihood, suppressing non-maxima, and
 refining surviving peaks with a gradient-orthogonality solve.
@@ -327,44 +328,37 @@ def detect_sequence(
     model_points: np.ndarray,
     intrinsics: camera.CameraIntrinsics,
 ) -> list[list[FeatureObservation]]:
-    """Undistort, detect and assign model correspondence frame by frame.
+    """Detect and assign model correspondence frame by frame.
 
     ``frames`` yields ``(name, raw image)`` pairs, float in [0, 1] or uint8
-    taken as value / 255. Images are undistorted with
+    taken as value / 255. Positions are undistorted pixels. A frame that
+    gives the whole model is measured only in a window: the bounding box of
+    an anchor (one position per model feature) widened by the match gate
+    plus the reach of the detector (kernel, non-maximum and refinement
+    radii, and the gradient margin), undistorted with
     :func:`camera.undistort_frame` and detected with :func:`detect_refined`.
-    Positions are undistorted pixels.
+    A feature that moved no farther than the gate then sees the same pixels
+    as on the whole undistorted image; only the detection threshold is taken
+    relative to the window's strongest response. The window's result is kept
+    when its detections bootstrap to the whole model and each lies within
+    the gate of its anchor position.
 
-    After a frame has matched every model feature, the next frame is first
-    undistorted and detected only inside a window: the bounding box of those
-    positions, widened by the match gate plus the reach of the detector
-    (kernel, non-maximum and refinement radii, and the gradient margin). A
-    feature that moved no farther than the gate then sees the same pixels as
-    on the whole image; only the detection threshold is taken relative to
-    the window's strongest response. The window's result is kept when its
-    detections bootstrap to the whole model and each lies within the gate of
-    its last position.
-
-    A frame without such a window, or whose window fails, is acquired by a
-    coarse pass: detection on the raw frame's ``COARSE_BLOCK``-square block
-    means, whose centres are undistorted and bootstrapped to place a window
-    as above. When that fails too, the frame is matched on the whole image
-    by bootstrapping; if that fails, each feature is gated to its last
-    known position, which tolerates missed detections. Frames that fail
-    every route become empty (tracking gaps), reported in one warning at the
-    end. A model that bootstrapping cannot use raises
-    :class:`LatticeMatchError` before the first frame is read.
+    The anchor is the last frame's positions if it matched every feature.
+    Without one, or when its window fails, the target is acquired on the raw
+    frame: the detector runs on its ``COARSE_BLOCK``-square block means,
+    then on the frame itself, and the first detections whose undistorted
+    block centres bootstrap to the whole model anchor a window. When every
+    window fails, the frame's own detections scoring at least
+    ``THRESHOLD_FRACTION`` of the weakest last-known feature, undistorted as
+    points, are gated to each feature's last position, which tolerates
+    missed detections. Frames that fail every route become empty (tracking
+    gaps), reported in one warning at the end. A model that bootstrapping
+    cannot use raises :class:`LatticeMatchError` before the first frame is
+    read.
     """
     mp = np.asarray(model_points, dtype=float)
     _model_grid(mp)
     reach = KERNEL_RADIUS + NMS_RADIUS + REFINE_RADIUS + 1
-
-    def detect(image: np.ndarray, window=None) -> list[FeatureObservation]:
-        und = camera.undistort_frame(intrinsics, image, window)
-        dets = detect_refined(und)
-        if window is None:
-            return dets
-        offset = np.array(window[:2], dtype=float)
-        return [replace(d, position=d.position + offset) for d in dets]
 
     def in_window(image: np.ndarray, anchor: np.ndarray | None) -> list[FeatureObservation]:
         """The whole model in the window about ``anchor``, each feature within the gate of it; else []."""
@@ -377,55 +371,60 @@ def detect_sequence(
         window = (
             int(max(lo[0], 0)), int(max(lo[1], 0)), int(min(hi[0], w)), int(min(hi[1], h))
         )
+        dets = detect_refined(camera.undistort_frame(intrinsics, image, window))
         try:
-            near = bootstrap_correspondence(detect(image, window), mp)
+            near = bootstrap_correspondence([replace(d, position=d.position + window[:2]) for d in dets], mp)
         except (LatticeMatchError, InsufficientCorrespondenceError):
             return []
         # Bootstrap returns every feature in model order, as the anchor holds them.
         moved = [np.linalg.norm(m.position - a) for m, a in zip(near, anchor)]
         return near if max(moved) <= gate else []
 
-    def coarse_anchor(image: np.ndarray) -> np.ndarray | None:
-        """Each model feature's ideal position from the block means, or None;
-        detection is scale-free, so a uint8 frame's means stay unscaled."""
-        b = COARSE_BLOCK
-        h, w = (n // b for n in np.shape(image))
-        if min(h, w) < KERNEL_SIZE:
-            return None
-        dets = detect_refined(np.asarray(image)[: h * b, : w * b].reshape(h, b, w, b).mean(axis=(1, 3)))
-        if len(dets) != len(mp):  # bootstrap needs every feature and nothing else
-            return None
-        ideal = camera.undistort_point(intrinsics, np.stack([d.position for d in dets]) * b + (b - 1) / 2)
+    def acquire(image: np.ndarray) -> list[FeatureObservation]:
+        """The whole model in a window placed by raw-frame detections, else
+        the frame's detections gated to the last positions; else []."""
+        img = np.asarray(image)
+        scale = 255.0 if img.dtype == np.uint8 else 1.0  # value / 255: scores in one unit on every route
+        dets: list[FeatureObservation] = []
+        for b in (COARSE_BLOCK, 1):
+            h, w = (n // b for n in img.shape)
+            if min(h, w) < KERNEL_SIZE:
+                continue
+            dets = detect_refined(img[: h * b, : w * b].reshape(h, b, w, b).mean(axis=(1, 3)) / scale)
+            if not dets:
+                continue
+            ideal = camera.undistort_point(intrinsics, np.stack([d.position for d in dets]) * b + (b - 1) / 2)
+            dets = [replace(d, position=p) for d, p in zip(dets, ideal)]
+            try:
+                found = bootstrap_correspondence(dets, mp)
+            except (LatticeMatchError, InsufficientCorrespondenceError):
+                continue
+            matched = in_window(image, np.stack([m.position for m in found]))
+            if matched:
+                return matched
+        # dets now holds the raw frame's own (b = 1) detections, if any.
+        if not last_pos:
+            return []
+        idxs = sorted(last_pos)
+        floor = THRESHOLD_FRACTION * min(last_pos[i].score for i in idxs)
+        pred = np.stack([last_pos[i].position for i in idxs])
         try:
-            found = bootstrap_correspondence([replace(d, position=p) for d, p in zip(dets, ideal)], mp)
-        except (LatticeMatchError, InsufficientCorrespondenceError):
-            return None
-        return np.stack([m.position for m in found])
+            near = match_features([d for d in dets if d.score >= floor], pred, _match_gate(pred))
+        except InsufficientCorrespondenceError:
+            return []
+        return [replace(m, model_index=idxs[m.model_index]) for m in near]
 
     out: list[list[FeatureObservation]] = []
     gaps: list[str] = []
-    last_pos: dict[int, np.ndarray] = {}
+    last_pos: dict[int, FeatureObservation] = {}
     anchor = None  # positions of the last frame that matched every feature
     for name, image in frames:
-        matched = in_window(image, anchor) or in_window(image, coarse_anchor(image))
-        if not matched:
-            dets = detect(image)
-            try:
-                matched = bootstrap_correspondence(dets, mp)
-            except (LatticeMatchError, InsufficientCorrespondenceError):
-                if last_pos:
-                    idxs = sorted(last_pos)
-                    pred = np.stack([last_pos[i] for i in idxs])
-                    try:
-                        near = match_features(dets, pred, _match_gate(pred))
-                        matched = [replace(m, model_index=idxs[m.model_index]) for m in near]
-                    except InsufficientCorrespondenceError:
-                        matched = []
+        matched = in_window(image, anchor) or acquire(image)
         if not matched:
             logger.debug("%s: no usable correspondence; gap", name)
             gaps.append(name)
         for m in matched:
-            last_pos[m.model_index] = m.position
+            last_pos[m.model_index] = m
         anchor = np.stack([m.position for m in matched]) if len(matched) == len(mp) else None
         out.append(matched)
     if gaps:
