@@ -13,6 +13,7 @@ Every command is deterministic given its config and seeds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -307,16 +308,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _ingest_features_csv(path: Path, intr: camera.CameraIntrinsics) -> list[list[features.FeatureObservation]]:
-    frames = _load_data(fileio.load_features_csv, path, "features")
-    if not intr.has_distortion or not any(frames):
-        return frames
-    # The whole recording in one call, handed back frame by frame.
-    ideal = iter(camera.undistort_point(intr, np.stack([o.position for obs in frames for o in obs])))
-    return [
-        [features.FeatureObservation(next(ideal), o.score, o.model_index) for o in obs]
-        for obs in frames
-    ]
+def _ingest_features_csv(path: Path, intr: camera.CameraIntrinsics) -> features.FeatureColumns:
+    """Read a feature CSV into columns and undistort its positions, the
+    whole recording in one call."""
+    cols = _load_data(fileio.load_feature_columns, path, "features")
+    if not intr.has_distortion or not len(cols.uv):
+        return cols
+    return dataclasses.replace(cols, uv=camera.undistort_point(intr, cols.uv))
 
 
 def _ingest_frames_dir(

@@ -72,6 +72,52 @@ class FeatureObservation:
         object.__setattr__(self, "position", p)
 
 
+@dataclass(frozen=True)
+class FeatureColumns:
+    """A run's observations as columns, one row per observation, the rows in
+    frame order: ``frame`` (n,) ints, ``model_index`` (n,) floats, NaN where
+    an observation has none, ``uv`` (n, 2) pixels and ``score`` (n,), over
+    ``n_frames`` frames; a frame without rows is empty. Frame numbers out
+    of order or outside [0, n_frames), and positions that are not finite,
+    are refused."""
+
+    frame: np.ndarray
+    model_index: np.ndarray
+    uv: np.ndarray
+    score: np.ndarray
+    n_frames: int
+
+    def __post_init__(self) -> None:
+        f = self.frame
+        if len(f) and f[0] < 0:
+            raise ValueError(f"frame numbers must be >= 0, got {f[0]}")
+        if len(f) and (f[-1] >= self.n_frames or np.any(f[1:] < f[:-1])):
+            raise ValueError(f"frame numbers must be in order and below {self.n_frames}")
+        if not np.isfinite(self.uv).all():
+            raise ValueError("feature position must be finite")
+
+    @classmethod
+    def from_frames(cls, frames: Sequence[Sequence[FeatureObservation]]) -> "FeatureColumns":
+        """Per-frame observation lists as columns."""
+        flat = [o for obs in frames for o in obs]
+        return cls(
+            np.repeat(np.arange(len(frames)), [len(obs) for obs in frames]),
+            # None becomes NaN.
+            np.array([o.model_index for o in flat], dtype=float),
+            np.array([o.position for o in flat], dtype=float).reshape(-1, 2),
+            np.array([o.score for o in flat], dtype=float),
+            len(frames),
+        )
+
+    def observations(self, i: int) -> list[FeatureObservation]:
+        """Frame ``i``'s rows as observations."""
+        lo, hi = np.searchsorted(self.frame, [i, i + 1])
+        return [
+            FeatureObservation(self.uv[k], float(self.score[k]), None if math.isnan(m) else int(m))
+            for k, m in zip(range(lo, hi), self.model_index[lo:hi].tolist())
+        ]
+
+
 def _quadrant_kernels() -> list[np.ndarray]:
     """Eight Gaussian-weighted quadrant masks: four per orientation (0/45 deg).
 

@@ -3,13 +3,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from swaykin.anatomy import SwayTrajectory
 from swaykin.camera import CameraIntrinsics, RigidTransform
-from swaykin.features import FeatureObservation
+from swaykin.features import FeatureColumns, FeatureObservation
 from swaykin.metrics import AgreementReport, TplResult
 from swaykin.pose import PoseTrack
 from swaykin.target import GeometricTargetModel, validate_asymmetry
@@ -144,33 +146,40 @@ def save_features_csv(path: str | Path, frames: list[list[FeatureObservation]]) 
                 w.writerow([k, idx, _fmt(o.position[0]), _fmt(o.position[1]), _fmt(o.score)])
 
 
-def load_features_csv(path: str | Path) -> list[list[FeatureObservation]]:
-    """Read a feature CSV back into per-frame observation lists.
+def load_feature_columns(path: str | Path) -> FeatureColumns:
+    """Read a feature CSV into columns, its rows in frame order.
 
-    Frames are the contiguous range 0..max(frame); frames with no rows come
-    back empty (a dropout-induced gap). A negative frame number is refused.
+    The header names the columns, in any order; others are ignored. Frames
+    are the contiguous range 0..max(frame), so a frame with no rows is empty
+    (a dropout-induced gap); rows of one frame keep their order in the file.
+    A frame number or model index that is not an integer is refused, as
+    :class:`FeatureColumns` refuses a negative frame number and a position
+    that is not finite. An empty model index reads as NaN.
     """
-    by_frame: dict[int, list[FeatureObservation]] = {}
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        required = {"frame", "model_index", "u", "v", "score"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns {sorted(required)}")
-        for row in reader:
-            idx = row["model_index"]
-            obs = FeatureObservation(
-                np.array([float(row["u"]), float(row["v"])]),
-                float(row["score"]),
-                model_index=None if idx in ("", None) else int(idx),
+    names = ("frame", "model_index", "u", "v", "score")
+    with open(path) as f:
+        header = next(csv.reader([f.readline()]))
+        if not set(names).issubset(header):
+            raise ValueError(f"{path}: expected columns {sorted(names)}")
+        cols = [header.index(n) for n in names]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(
+                f, delimiter=",", usecols=cols, ndmin=1,
+                dtype=[("frame", np.int64)] + [(n, float) for n in names[1:]],
+                converters={cols[1]: lambda s: int(s) if s else math.nan},
             )
-            frame = int(row["frame"])
-            if frame < 0:
-                raise ValueError(f"{path}: frame numbers must be >= 0, got {frame}")
-            by_frame.setdefault(frame, []).append(obs)
-    if not by_frame:
-        return []
-    n = max(by_frame) + 1
-    return [by_frame.get(k, []) for k in range(n)]
+    rows = rows[np.argsort(rows["frame"], kind="stable")]
+    n_frames = int(rows["frame"][-1]) + 1 if len(rows) else 0
+    uv = np.column_stack([rows["u"], rows["v"]])
+    return FeatureColumns(rows["frame"], rows["model_index"], uv, rows["score"], n_frames)
+
+
+def load_features_csv(path: str | Path) -> list[list[FeatureObservation]]:
+    """Read a feature CSV back into per-frame observation lists: the rows of
+    :func:`load_feature_columns`, frame by frame."""
+    cols = load_feature_columns(path)
+    return [cols.observations(i) for i in range(cols.n_frames)]
 
 
 def save_pose_track_csv(path: str | Path, track: PoseTrack) -> None:

@@ -22,7 +22,9 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from swaykin import camera
-from swaykin.features import MIN_OBSERVATIONS, FeatureObservation, InsufficientCorrespondenceError, _first_frames
+from swaykin.features import (
+    MIN_OBSERVATIONS, FeatureColumns, FeatureObservation, InsufficientCorrespondenceError, _first_frames,
+)
 
 if TYPE_CHECKING:
     from swaykin.target import GeometricTargetModel
@@ -180,6 +182,9 @@ class PoseTrack:
 
 # q @ _CROSS, reshaped to (..., 3, 3), is the matrix [q]x^T: v @ it = q x v.
 _CROSS = np.cross(np.eye(3)[:, None], np.eye(3)).reshape(3, 9)
+# Poses per block of _jacobian_from's rotation columns: about 160 kB of
+# temporaries for 15 features.
+_JACOBIAN_BLOCK = 64
 
 
 def _project(
@@ -190,7 +195,14 @@ def _project(
     and the state that :func:`_jacobian_from` takes: R, q = R p, 1/z and K n
     for the normalized coordinates n."""
     R = _rotation(th[..., :3])
-    q = points @ R.swapaxes(-1, -2)
+    return _project_rotated(th, R, points @ R.swapaxes(-1, -2), obs_uv, intrinsics)
+
+
+def _project_rotated(
+    th: np.ndarray, R: np.ndarray, q: np.ndarray, obs_uv: np.ndarray, intrinsics: camera.CameraIntrinsics
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """:func:`_project` from the rotations R (..., 3, 3) of the poses and the
+    target points q = R p (..., m, 3) they rotate."""
     pc = q + th[..., None, 3:]
     z = pc[..., 2]
     if z.min() <= camera.MIN_DEPTH_MM:
@@ -212,7 +224,10 @@ def _jacobian_from(
     d(R p)/d theta_k = w_k x q, with w_1 = e_z, w_2 = Rz e_y and w_3 = Rz Ry
     e_x, the first column of R; by the scalar triple product each row p of P
     gives p . (w_k x q) = w_k . (q x p), so the rotation columns are
-    P [q]x^T W^T with the w_k as the rows of W.
+    P [q]x^T W^T with the w_k as the rows of W. They are written into J
+    ``_JACOBIAN_BLOCK`` poses at a time, so that beside J only a block's
+    [q]x^T and products are held; each block's arithmetic is that of the
+    whole stack.
     """
     R, q, inv_z, Kn = state
     # P goes in the translation columns, then the rotation columns are built from it.
@@ -224,8 +239,12 @@ def _jacobian_from(
     W[..., 0, 2] = 1.0
     W[..., 1, 0], W[..., 1, 1] = -np.sin(th[..., 0]), np.cos(th[..., 0])
     W[..., 2, :] = R[..., 0]
-    qx = (q @ _CROSS).reshape(q.shape + (3,))
-    J[..., :3] = J[..., 3:] @ qx @ W[..., None, :, :].swapaxes(-1, -2)
+    # One pose is a block of one.
+    Jb, qb, Wb = (J, q, W) if th.ndim > 1 else (J[None], q[None], W[None])
+    for a in range(0, len(Jb), _JACOBIAN_BLOCK):
+        Ja, qa = Jb[a : a + _JACOBIAN_BLOCK], qb[a : a + _JACOBIAN_BLOCK]
+        qx = (qa @ _CROSS).reshape(qa.shape + (3,))
+        Ja[..., :3] = Ja[..., 3:] @ qx @ Wb[a : a + _JACOBIAN_BLOCK, None].swapaxes(-1, -2)
     return J.reshape(J.shape[:-3] + (-1, 6))
 
 
@@ -265,7 +284,8 @@ def _levenberg_marquardt(
     ``trial(x)`` returns the cost at ``x`` and what the solver keeps of that
     projection; ``linearize(cost, kept)`` returns the normal equations' matrix
     (..., 6, 6) and gradient there, or None when the solver's own stopping
-    rule fires; ``solve(x, A, g)`` returns the step for the damped matrix A.
+    rule fires; ``solve(x, A, g, lam)`` returns the step for the damped
+    matrix A + lam I.
     Damping adds lambda I to the matrix. It starts at 1e-3, falls tenfold on
     an accepted step and rises tenfold on a refused one, which is retried
     from the same linearization. A step is refused if it does not lower the
@@ -286,7 +306,7 @@ def _levenberg_marquardt(
         A, g = system
         while lam < 1e12:
             try:
-                cand = x + solve(x, A + lam * _EYE6, g)
+                cand = x + solve(x, A, g, lam)
                 cost_new, kept_new = trial(cand)
             except (np.linalg.LinAlgError, GimbalLockError, camera.BehindCameraError):
                 cost_new = math.inf
@@ -328,7 +348,7 @@ def _fit(
         return JtJ, g
 
     th, _, iterations, converged = _levenberg_marquardt(
-        th, trial, linearize, lambda th, A, g: np.linalg.solve(A, -g), max_iterations
+        th, trial, linearize, lambda th, A, g, lam: np.linalg.solve(A + lam * _EYE6, -g), max_iterations
     )
     return th, iterations, converged
 
@@ -340,7 +360,8 @@ def _evaluate(r: np.ndarray, J: np.ndarray, mask: np.ndarray) -> tuple[np.ndarra
     residual mask ``mask`` (F, 2m), as :func:`_linearize` returns them."""
     rms = np.sqrt(np.sum(r**2, axis=1) / (np.sum(mask, axis=1) / 2))
     sv = np.linalg.svd(J, compute_uv=False)
-    cov = np.diagonal(np.linalg.pinv(np.swapaxes(J, 1, 2) @ J), axis1=1, axis2=2)
+    # A copy, so that the (F, 6, 6) inverse is not kept for its diagonal.
+    cov = np.diagonal(np.linalg.pinv(np.swapaxes(J, 1, 2) @ J), axis1=1, axis2=2).copy()
     return rms, cov, sv[:, -1] < 1e-10 * sv[:, 0]
 
 
@@ -492,31 +513,42 @@ def _jerk_density(t: np.ndarray, y: np.ndarray, var: np.ndarray, T: int) -> floa
     return float(_JERK_DENSITIES[np.argmin(nll)])
 
 
+def _columns(frames: Sequence[Sequence[FeatureObservation]] | FeatureColumns) -> FeatureColumns:
+    """Observations as columns; per-frame lists are converted."""
+    return frames if isinstance(frames, FeatureColumns) else FeatureColumns.from_frames(frames)
+
+
 def _stack_observations(
-    model: "GeometricTargetModel", frames: Sequence[Sequence[FeatureObservation]]
+    model: "GeometricTargetModel", frames: Sequence[Sequence[FeatureObservation]] | FeatureColumns
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Target points (F, m, 3), observed pixels (F, m, 2) and a residual mask
     (F, 2m) of F frames, padded to the largest frame with model point 0, zero
     pixels and a zero mask; this module's one reader of observations. Every
-    ``model_index`` is checked at once, and the first observation in frame
-    order without one, or with one outside the target, decides the ValueError."""
-    flat = [o for obs in frames for o in obs]
-    # None becomes NaN, which fails both bounds.
-    idx = np.array([o.model_index for o in flat], dtype=float)
-    outside = ~((idx >= 0) & (idx < len(model.points)))
+    ``model_index`` is checked at once. The first observation in frame order
+    without one, or with one outside the target, decides the ValueError;
+    failing that, the first frame that lists one model index twice does."""
+    cols = _columns(frames)
+    idx, m = cols.model_index, len(model.points)
+    # NaN, an observation without an index, fails both bounds.
+    outside = ~((idx >= 0) & (idx < m))
     if outside.any():
-        first = flat[int(np.argmax(outside))].model_index
-        if first is None:
+        first = idx[np.argmax(outside)]
+        if math.isnan(first):
             raise ValueError("all observations must carry a model_index")
-        raise ValueError(f"model_index {first} is outside [0, {len(model.points)}) of target '{model.name}'")
-    sizes = np.array([len(obs) for obs in frames], dtype=int)
-    # Row-major order is frame order, so the filled slots take the flat list.
+        raise ValueError(f"model_index {int(first)} is outside [0, {m}) of target '{model.name}'")
+    idx = idx.astype(int)
+    twice = np.bincount(cols.frame * m + idx, minlength=cols.n_frames * m) > 1
+    if twice.any():
+        frame, index = divmod(int(np.argmax(twice)), m)
+        raise ValueError(f"frame {frame} lists model_index {index} twice")
+    sizes = np.bincount(cols.frame, minlength=cols.n_frames)
+    # Row-major order is frame order, so the filled slots take the rows.
     filled = np.arange(sizes.max(initial=0)) < sizes[:, None]
     points = np.broadcast_to(model.points[0], filled.shape + (3,)).copy()
-    points[filled] = model.points[idx.astype(int)]
+    points[filled] = model.points[idx]
     uv = np.zeros(filled.shape + (2,))
-    uv[filled] = np.array([o.position for o in flat], dtype=float).reshape(-1, 2)
-    return points, uv, np.repeat(filled, 2, axis=1).astype(float)
+    uv[filled] = cols.uv
+    return points, uv, np.repeat(filled, 2, axis=1)
 
 
 def _linearize(
@@ -527,8 +559,19 @@ def _linearize(
     """Masked residuals (F, 2m) and Jacobians (F, 2m, 6) of the frames of
     ``stack`` at poses ``theta`` (F, 6), from one projection."""
     points, uv, mask = stack
-    r, state = _project(theta, points, uv, intrinsics)
-    return r * mask, _jacobian_from(theta, state, intrinsics) * mask[..., None]
+    return _masked(theta, *_project(theta, points, uv, intrinsics), mask, intrinsics)
+
+
+def _masked(
+    theta: np.ndarray, r: np.ndarray, state: tuple[np.ndarray, ...], mask: np.ndarray,
+    intrinsics: camera.CameraIntrinsics,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The residuals ``r`` (F, 2m) of a projection at ``theta`` and its
+    Jacobians, both masked in place by the residual mask (F, 2m)."""
+    r *= mask
+    J = _jacobian_from(theta, state, intrinsics)
+    J *= mask[..., None]
+    return r, J
 
 
 def _smooth_poses(
@@ -552,7 +595,8 @@ def _smooth_poses(
     Each pass is an iteration of :func:`_levenberg_marquardt` on that
     objective, with each fitted frame's information damped; each trial
     projects the run once, and the next pass linearizes from the accepted
-    trial's projection. Returns the smoothed poses, their masked residuals
+    trial's projection, of which only the rotated points are kept between
+    passes. Returns the smoothed poses, their masked residuals
     and Jacobians (as :func:`_linearize` gives them), the number of passes
     and whether the passes settled.
     """
@@ -573,21 +617,26 @@ def _smooth_poses(
 
     def trial(z: np.ndarray) -> tuple[float, tuple]:
         # Half the squared residuals plus half w^T G w over the jerk
-        # increments w, with the poses, masked residuals and projection state
-        # it took; raises past the gimbal guard or behind the camera.
+        # increments w, with the poses and rotated points it took; raises
+        # past the gimbal guard or behind the camera.
         th = mean + scale * z[t, ::3]
         if np.any(np.abs(th[:, 1]) >= math.pi / 2 - GIMBAL_MARGIN):
             raise GimbalLockError("a smoothed pose crosses the gimbal guard")
         r, state = _project(th, points, uv, intrinsics)
         r *= mask
         w = z[1:] - z[:-1] @ F.T
-        return 0.5 * float(np.sum(r**2) + np.einsum("ti,ij,tj->", w, G, w)), (th, r, state)
+        return 0.5 * float(np.sum(r**2) + np.einsum("ti,ij,tj->", w, G, w)), (th, state[1])
+
+    def linearized(th: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # The rest of a trial's projection, rebuilt from its rotated points
+        # by the same arithmetic: the trial's own values.
+        r, state = _project_rotated(th, _rotation(th[:, :3]), q, uv, intrinsics)
+        return _masked(th, r, state, mask, intrinsics)
 
     def linearize(cost: float, kept: tuple) -> tuple[np.ndarray, np.ndarray]:
-        # The trials need only J^T J and J^T r; on a long run J is the
-        # largest array, and it is dropped on return.
-        th, r, state = kept
-        J = _jacobian_from(th, state, intrinsics) * mask[..., None]
+        # The steps need only J^T J and J^T r; on a long run r and J are
+        # large, and they are dropped on return.
+        r, J = linearized(*kept)
         return np.swapaxes(J, 1, 2) @ J * scale[:, None] * scale, np.einsum("fmi,fm->fi", J, r) * scale
 
     # State per frame: each parameter's scaled position, velocity and
@@ -595,26 +644,24 @@ def _smooth_poses(
     # with the step.
     z = np.zeros((T, 18))
     z[t, ::3] = xi
-    _, (th, r, state), passes, settled = _levenberg_marquardt(
-        z, trial, linearize, lambda z, A, g: _gauss_newton_step(z, t, F, G, A, g), _SMOOTHER_MAX_PASSES
+    _, (th, q), passes, settled = _levenberg_marquardt(
+        z, trial, linearize, lambda z, A, g, lam: _gauss_newton_step(z, t, F, G, A, lam, g), _SMOOTHER_MAX_PASSES
     )
-    return th, r, _jacobian_from(th, state, intrinsics) * mask[..., None], passes, settled
+    return (th, *linearized(th, q), passes, settled)
 
 
 def _gauss_newton_step(
-    z: np.ndarray, t: np.ndarray, F: np.ndarray, G: np.ndarray, info: np.ndarray, grad: np.ndarray
+    z: np.ndarray, t: np.ndarray, F: np.ndarray, G: np.ndarray, info: np.ndarray, lam: float, grad: np.ndarray
 ) -> np.ndarray:
     """Gauss-Newton increment (T, 18) of the smoother's states ``z``.
 
     Each frame at ``t`` contributes its residuals linearized at the current
     pose, i.e. the Gauss-Newton step from there, with information ``info``
-    (F, 6, 6) and data gradient ``grad`` (F, 6) on its positions.
+    (F, 6, 6), damped by ``lam`` on its diagonal, and data gradient ``grad``
+    (F, 6) on its positions.
     """
     from scipy.linalg import solveh_banded
     T = len(z)
-    ab = _jerk_banded(T, F, G)
-    i, j = np.tril_indices(6)
-    ab[3 * (i - j), 18 * t[:, None] + 3 * j] += info[:, i, j]
     # The prior's gradient, from the jerk increments rather than from the
     # precision times z, whose terms nearly cancel.
     Gw = (z[1:] - z[:-1] @ F.T) @ G
@@ -622,11 +669,17 @@ def _gauss_newton_step(
     rhs[:-1] += Gw @ F
     rhs[1:] -= Gw
     rhs[t, ::3] -= grad
-    return solveh_banded(ab, rhs.ravel(), overwrite_ab=True, lower=True).reshape(T, 18)
+    del Gw  # before the band, the largest array, is built
+    ab = _jerk_banded(T, F, G)
+    # One entry of the lower triangle at a time, so that the largest
+    # temporaries beside the band are (F,).
+    for i, j in zip(*np.tril_indices(6)):
+        ab[3 * (i - j), 18 * t + 3 * j] += info[:, i, j] + lam * _EYE6[i, j]
+    return solveh_banded(ab, rhs.ravel(), overwrite_ab=True, overwrite_b=True, lower=True).reshape(T, 18)
 
 
 def track_sequence(
-    frames: Sequence[Sequence[FeatureObservation]],
+    frames: Sequence[Sequence[FeatureObservation]] | FeatureColumns,
     model: "GeometricTargetModel",
     intrinsics: camera.CameraIntrinsics,
     rate_hz: float = 30.0,
@@ -637,11 +690,14 @@ def track_sequence(
     starts from the most recent fit. Frames with fewer than 4 matched
     observations (or where initialization or fitting fails) get status
     ``gap`` and no report, and stay gaps; the frames that fail are named in
-    one warning. Raises :class:`TrackingError` if nothing fits. The whole
-    run, short and empty frames included, is stacked once, and both solvers
-    read its rows. An observation without a ``model_index`` or with one
-    outside the target raises ``ValueError``; the first in frame order is
-    reported.
+    one warning. Raises :class:`TrackingError` if nothing fits. ``frames``
+    are per-frame lists or the run's :class:`FeatureColumns`; the lists are
+    converted to columns, and the whole run, short and empty frames
+    included, is stacked once from them. Both solvers read the stack's rows,
+    and observations are made only for the first frame's initialization. An
+    observation without a ``model_index`` or with one outside the target, and
+    a frame that lists one model index twice, raise ``ValueError``; the first
+    in frame order is reported.
 
     The per-frame fits then seed an iterated fixed-interval Rauch-Tung-
     Striebel smoother over the 6-DOF pose (Rauch, Tung & Striebel, AIAA J.
@@ -672,16 +728,23 @@ def track_sequence(
     the jerk densities), and the rank-deficient frames among them are named
     in one warning.
     """
-    points, uv, mask = _stack_observations(model, frames)
+    cols = _columns(frames)
+    points, uv, mask = _stack_observations(model, cols)
+    sizes = np.bincount(cols.frame, minlength=cols.n_frames)
+    # Each frame's fit: its pose, iterations and whether it converged.
+    poses = np.zeros((cols.n_frames, 6))
+    iterations = np.zeros(cols.n_frames, dtype=int)
+    converged = np.zeros(cols.n_frames, dtype=bool)
     fitted: list[int] = []
-    fits: list[tuple[np.ndarray, int, bool]] = []
     failed: list[int] = []
-    for i, obs in enumerate(frames):
-        if len(obs) < MIN_OBSERVATIONS:
-            continue
+    for i in np.flatnonzero(sizes >= MIN_OBSERVATIONS).tolist():
+        n = sizes[i]
         try:
-            init = fits[-1][0] if fits else initialize_first_frame(model, obs, intrinsics).as_array()
-            fits.append(_fit(init, points[i, : len(obs)], uv[i, : len(obs)], intrinsics, 100))
+            if fitted:
+                init = poses[fitted[-1]]
+            else:
+                init = initialize_first_frame(model, cols.observations(i), intrinsics).as_array()
+            poses[i], iterations[i], converged[i] = _fit(init, points[i, :n], uv[i, :n], intrinsics, 100)
             fitted.append(i)
         except (GimbalLockError, camera.DegenerateGeometryError, camera.BehindCameraError) as e:
             logger.debug("frame %d: %s; marking gap", i, e)
@@ -689,16 +752,16 @@ def track_sequence(
     if failed:
         logger.warning(
             "%d of %d frames could not be fitted and are gaps: %s",
-            len(failed), len(frames), _first_frames(failed),
+            len(failed), cols.n_frames, _first_frames(failed),
         )
-    if not fits:
+    if not fitted:
         raise TrackingError("no frame in the sequence could be fitted")
 
     # The fitted frames' rows, padded to the largest of them; the names are
     # rebound so that the run's stack is freed.
-    pad = max(len(frames[i]) for i in fitted)
+    pad = sizes[fitted].max()
     points, uv, mask = stack = points[fitted, :pad], uv[fitted, :pad], mask[fitted, : 2 * pad]
-    theta = np.array([th for th, _, _ in fits])
+    theta = poses[fitted]
     rms, cov, degenerate = _evaluate(*_linearize(theta, stack, intrinsics), stack[2])
     m = np.sum(stack[2], axis=1) / 2
     sigma2 = float(np.sum(rms**2 * m) / np.sum(2 * m - 6))
@@ -721,11 +784,13 @@ def track_sequence(
         rank_deficient = [fitted[f] for f in np.flatnonzero(degenerate)]
         logger.warning(
             "pose Jacobian is rank deficient on %d of %d frames: %s",
-            len(rank_deficient), len(frames), _first_frames(rank_deficient),
+            len(rank_deficient), cols.n_frames, _first_frames(rank_deficient),
         )
 
-    reports: list[FitReport | None] = [None] * len(frames)
-    for f, (i, (_, iterations, converged)) in enumerate(zip(fitted, fits)):
+    reports: list[FitReport | None] = [None] * cols.n_frames
+    for f, i in enumerate(fitted):
         th = KinematicParams.from_array(theta[f])
-        reports[i] = FitReport(th, float(rms[f]), iterations, converged, cov[f], bool(degenerate[f]))
+        reports[i] = FitReport(
+            th, float(rms[f]), int(iterations[i]), bool(converged[i]), cov[f], bool(degenerate[f])
+        )
     return PoseTrack(rate_hz=rate_hz, reports=reports)

@@ -365,6 +365,52 @@ def test_track_refuses_negative_frame_number(tmp_path, caplog):
     assert list(out.iterdir()) == []
 
 
+def test_track_refuses_a_frame_that_lists_a_model_index_twice(tmp_path, caplog):
+    sc = dict(SCENARIO, duration_sec=0.3, targets=["lumbar", "shoulder"], noise={"sigma_px": 0.2, "dropout": 0.0})
+    (tmp_path / "scenario.json").write_text(json.dumps(sc))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out", str(sim)]) == 0
+    frames = fileio.load_features_csv(sim / "features_lumbar.csv")
+    o = frames[5][3]
+    frames[5].append(FeatureObservation(o.position + [40.0, 0.0], o.score, o.model_index))
+    fileio.save_features_csv(sim / "features_lumbar.csv", frames)
+    out = tmp_path / "o"
+    caplog.clear()
+    assert main(["track", "--config", str(sim / "track_config.json"), "--out", str(out)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"segment 'lumbar': frame 5 lists model_index {o.model_index} twice"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "pose_shoulder.csv", "trajectory_raw_shoulder.csv", "trajectory_shoulder.csv"
+    ]
+
+
+@pytest.mark.parametrize("row", ["2,0,nan,100.0,1.0", "2,0,100.0,inf,1.0"], ids=["u", "v"])
+def test_track_refuses_a_position_that_is_not_finite(tmp_path, caplog, row):
+    sim = _simulate_short(tmp_path, {"sigma_px": 0.2, "dropout": 0.0})
+    with open(sim / "features_lumbar.csv", "a") as f:
+        f.write(row + "\n")
+    out = tmp_path / "o"
+    caplog.clear()
+    assert main(["track", "--config", str(sim / "track_config.json"), "--out", str(out)]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith("segment 'lumbar': features file ")
+    assert list(out.iterdir()) == []
+
+
+def test_track_refuses_an_empty_model_index_at_tracking(tmp_path, caplog):
+    sim = _simulate_short(tmp_path, {"sigma_px": 0.2, "dropout": 0.0})
+    frames = fileio.load_features_csv(sim / "features_lumbar.csv")
+    o = frames[2][1]
+    frames[2][1] = FeatureObservation(o.position, o.score)
+    fileio.save_features_csv(sim / "features_lumbar.csv", frames)
+    out = tmp_path / "o"
+    caplog.clear()
+    assert main(["track", "--config", str(sim / "track_config.json"), "--out", str(out)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["segment 'lumbar': all observations must carry a model_index"]
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "setting",
     [

@@ -10,6 +10,7 @@ from swaykin import (
     AgreementReport,
     AmbiguousTargetError,
     CameraIntrinsics,
+    FeatureColumns,
     FeatureObservation,
     GeometricTargetModel,
     KinematicParams,
@@ -175,6 +176,85 @@ def test_features_csv_missing_column(tmp_path):
     p.write_text("frame,model_index,u\n0,0,10.0\n")
     with pytest.raises(ValueError):
         fileio.load_features_csv(p)
+
+
+# Frames 0, 1 and 3 (frame 2 is empty), with a frame listing two rows.
+_CLEAN_ROWS = [
+    "0,0,10.5,20.25,1.0",
+    "0,1,30.0,40.0,0.5",
+    "1,2,50.0,60.0,1.0",
+    "3,0,70.0,80.0,0.25",
+    "3,1,90.0,100.0,1.0",
+]
+
+
+def _features_file(tmp_path, rows, header="frame,model_index,u,v,score", newline="\n", name="f.csv"):
+    p = tmp_path / name
+    p.write_bytes("".join(line + newline for line in [header, *rows]).encode())
+    return p
+
+
+def _observed(frames):
+    return [[(o.position.tolist(), o.score, o.model_index) for o in obs] for obs in frames]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["u", "v"])
+def test_features_csv_refuses_a_position_that_is_not_finite(tmp_path, column, value):
+    row = f"1,2,{value},60.0,1.0" if column == "u" else f"1,2,50.0,{value},1.0"
+    with pytest.raises(ValueError):
+        fileio.load_features_csv(_features_file(tmp_path, [*_CLEAN_ROWS[:2], row]))
+
+
+@pytest.mark.parametrize("frame", ["1.5", "one", "-1"])
+def test_features_csv_refuses_a_frame_that_is_not_a_nonnegative_integer(tmp_path, frame):
+    with pytest.raises(ValueError):
+        fileio.load_features_csv(_features_file(tmp_path, [*_CLEAN_ROWS, f"{frame},3,5.0,6.0,1.0"]))
+
+
+def test_features_csv_with_only_its_header_has_no_frames(tmp_path):
+    assert fileio.load_features_csv(_features_file(tmp_path, [])) == []
+
+
+@pytest.mark.parametrize("variant", ["out_of_frame_order", "extra_column", "crlf"])
+def test_features_csv_variants_read_as_the_clean_file(tmp_path, variant):
+    clean = _observed(fileio.load_features_csv(_features_file(tmp_path, _CLEAN_ROWS, name="clean.csv")))
+    assert [len(obs) for obs in clean] == [2, 1, 0, 2]
+    if variant == "out_of_frame_order":
+        # Frames interleaved; each frame's own rows keep their order.
+        rows = [_CLEAN_ROWS[i] for i in (3, 0, 2, 4, 1)]
+        p = _features_file(tmp_path, rows)
+    elif variant == "extra_column":
+        rows = [f"{r.split(',', 1)[0]},x{k},{r.split(',', 1)[1]}" for k, r in enumerate(_CLEAN_ROWS)]
+        p = _features_file(tmp_path, rows, header="frame,note,model_index,u,v,score")
+    else:
+        p = _features_file(tmp_path, _CLEAN_ROWS, newline="\r\n")
+    assert _observed(fileio.load_features_csv(p)) == clean
+
+
+def test_features_csv_empty_model_index_reads_as_none(tmp_path):
+    frames = fileio.load_features_csv(_features_file(tmp_path, [*_CLEAN_ROWS, "3,,5.0,6.0,1.0"]))
+    assert [o.model_index for o in frames[3]] == [0, 1, None]
+
+
+def test_feature_columns_hold_the_rows_in_frame_order(tmp_path):
+    rows = [_CLEAN_ROWS[i] for i in (3, 0, 2, 4, 1)] + ["4,,5.0,6.0,1.0"]
+    cols = fileio.load_feature_columns(_features_file(tmp_path, rows))
+    assert cols.n_frames == 5
+    npt.assert_array_equal(cols.frame, [0, 0, 1, 3, 3, 4])
+    npt.assert_array_equal(cols.model_index, [0, 1, 2, 0, 1, np.nan])
+    npt.assert_array_equal(cols.uv, [[10.5, 20.25], [30, 40], [50, 60], [70, 80], [90, 100], [5, 6]])
+    npt.assert_array_equal(cols.score, [1.0, 0.5, 1.0, 0.25, 1.0, 1.0])
+    # The observation lists are these columns, frame by frame, both ways.
+    frames = fileio.load_features_csv(_features_file(tmp_path, rows))
+    assert _observed(frames) == _observed([cols.observations(i) for i in range(5)])
+    back = FeatureColumns.from_frames(frames)
+    for name in ("frame", "model_index", "uv", "score", "n_frames"):
+        npt.assert_array_equal(getattr(back, name), getattr(cols, name))
+    # Columns out of frame order, or beyond their frame count, are refused.
+    for frame, n_frames in (cols.frame[::-1], 5), (cols.frame, 4):
+        with pytest.raises(ValueError, match="frame numbers must be in order and below"):
+            FeatureColumns(frame, cols.model_index, cols.uv, cols.score, n_frames)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,73 @@
+"""Memory held per observation and per frame on the feature-CSV route.
+
+Each bound is the tracemalloc peak measured when the route first took
+columns from the file to the solver, plus 25 %. The per-observation lists
+that it replaced peaked at 610 B per observation at ingest and 7,323 B per
+frame in ``track_sequence`` on this run.
+"""
+
+import tracemalloc
+
+import pytest
+import scipy.linalg  # noqa: F401  (the smoother imports it lazily; not a cost of the run)
+
+from swaykin import CameraIntrinsics, NoiseSpec, SwayProfile, cli, default_target, fileio, pose, synth
+from swaykin.features import FeatureObservation
+
+# Measured 155 B per observation and 5,549 B per frame, plus 25 %.
+INGEST_BYTES_PER_OBSERVATION = 193
+TRACK_BYTES_PER_FRAME = 6936
+
+INTR = CameraIntrinsics(fx=4000, fy=4000, x0=1024, y0=1024, k1=-0.08, k2=0.01)
+
+
+def _peak_since(start: int) -> int:
+    return tracemalloc.get_traced_memory()[1] - start
+
+
+@pytest.fixture
+def lumbar_run(tmp_path):
+    """A 60 s, 1,800-frame lumbar recording through a distorted camera."""
+    model = default_target("lumbar")
+    theta = synth.generate_trajectory(SwayProfile(duration_sec=60.0, rate_hz=30.0, seed=7))
+    frames = synth.render_observations(theta, model, INTR, NoiseSpec(0.2, 0.01, 11))
+    path = tmp_path / "features_lumbar.csv"
+    fileio.save_features_csv(path, frames)
+    return path, model, len(frames), sum(map(len, frames))
+
+
+def test_features_route_memory_per_observation_and_per_frame(lumbar_run, monkeypatch):
+    path, model, n_frames, n_obs = lumbar_run
+    made = [0]  # FeatureObservations constructed
+    post_init = FeatureObservation.__post_init__
+
+    def counted(self):
+        made[0] += 1
+        post_init(self)
+
+    initialize = pose.initialize_first_frame
+    at_init = []
+
+    def initialize_counted(*args, **kwargs):
+        out = initialize(*args, **kwargs)
+        at_init.append(made[0])
+        return out
+
+    monkeypatch.setattr(FeatureObservation, "__post_init__", counted)
+    monkeypatch.setattr(pose, "initialize_first_frame", initialize_counted)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cols = cli._ingest_features_csv(path, INTR)
+        ingest = _peak_since(start)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        track = pose.track_sequence(cols, model, INTR)
+        tracking = _peak_since(start)
+    finally:
+        tracemalloc.stop()
+    assert track.statuses.count("fitted") == n_frames
+    assert ingest / n_obs <= INGEST_BYTES_PER_OBSERVATION
+    assert tracking / n_frames <= TRACK_BYTES_PER_FRAME
+    # Observations are made for the first frame's initialization and no more.
+    assert at_init == made and made[0] <= len(model.points)

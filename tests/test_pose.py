@@ -9,6 +9,7 @@ import pytest
 from swaykin import (
     BehindCameraError,
     CameraIntrinsics,
+    FeatureColumns,
     FeatureObservation,
     GeometricTargetModel,
     GimbalLockError,
@@ -796,3 +797,16 @@ def test_track_reports_the_first_bad_model_index_in_frame_order():
     frames[3] = [FeatureObservation(o.position, o.score, model_index=42), *frames[3][1:3]]
     with pytest.raises(ValueError, match="model_index 99 is outside \\[0, 15\\)"):
         track_sequence(frames, MODEL, INTR)
+
+
+@pytest.mark.parametrize("as_columns", [False, True], ids=["lists", "columns"])
+def test_track_refuses_a_frame_that_lists_a_model_index_twice(as_columns):
+    # A second observation of feature 2, 40 px off, would otherwise be fitted
+    # with the first and enter the pooled noise; frame 4 is named, not 6.
+    frames, _ = _noisy_frames(8, seed=3)
+    for k in (6, 4):
+        o = frames[k][2]
+        frames[k].append(FeatureObservation(o.position + [40.0, 0.0], o.score, model_index=2))
+    with pytest.raises(ValueError, match="^frame 4 lists model_index 2 twice$"):
+        track_sequence(FeatureColumns.from_frames(frames) if as_columns else frames, MODEL, INTR)
+
