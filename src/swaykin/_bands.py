@@ -1,7 +1,7 @@
 """Whole-frame image work in horizontal row bands, one thread per core.
 
-scipy.ndimage and numpy release the interpreter lock inside their loops, so
-the bands of one frame run in parallel. Each band writes its own rows of one
+numpy's ufuncs release the interpreter lock inside their loops, so the bands
+of one frame run in parallel. Each band writes its own rows of one
 preallocated output and reads what it needs of the input, so the result does
 not depend on how the rows are cut. Each call starts its own threads and
 joins them before it returns: code that does no image work starts no thread,
@@ -12,9 +12,9 @@ from __future__ import annotations
 import os
 from collections.abc import Callable
 
-# Rows per band: sixteen bands on a 2048-row frame, to share out evenly
-# over the cores, each with temporaries of a few MB.
-_BAND_ROWS = 128
+# Rows per band: 32 bands on a 2048-row frame and 6 on a tracked frame's
+# window, to share out evenly over the cores, each with temporaries of 1 MB.
+_BAND_ROWS = 64
 
 
 def over_rows(height: int, work: Callable[[int, int], None]) -> None:

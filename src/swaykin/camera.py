@@ -241,7 +241,6 @@ def undistort_frame(
         raise ValueError(f"window {window} is empty or leaves the {w}x{h} image")
     if not intrinsics.has_distortion:
         return np.divide(img[v0:v1, u0:u1], scale)
-    from scipy import ndimage
     out = np.empty((v1 - v0, u1 - u0))
     cols = np.arange(u0, u1, dtype=float)
 
@@ -250,11 +249,18 @@ def undistort_frame(
         src = distort_point(intrinsics, np.stack([uu, vv], axis=-1))
         lo = np.clip(np.floor(src.min(axis=(0, 1))) - 1, 0, [w - 1, h - 1]).astype(int)
         hi = np.clip(np.floor(src.max(axis=(0, 1))) + 2, lo + 1, [w, h]).astype(int)
-        crop = np.divide(img[lo[1] : hi[1], lo[0] : hi[0]], scale)
-        ndimage.map_coordinates(
-            crop, np.stack([src[..., 1] - lo[1], src[..., 0] - lo[0]]), output=out[b0:b1],
-            order=1, mode="constant", cval=0.0,
-        )
+        ch, cw = hi[1] - lo[1], hi[0] - lo[0]
+        crop = np.zeros((ch + 1, cw + 1))  # zeros past the end, where samples' neighbours weigh 0
+        np.divide(img[lo[1] : hi[1], lo[0] : hi[0]], scale, out=crop[:ch, :cw])
+        y, x = src[..., 1] - lo[1], src[..., 0] - lo[0]
+        iy, ix = np.floor(y), np.floor(x)
+        ty, tx = y - iy, x - ix
+        k = (np.clip(iy, 0, ch - 1) * (cw + 1) + np.clip(ix, 0, cw - 1)).astype(np.intp)
+        # Bilinear, in the order of scipy.ndimage.map_coordinates, which this equals bit for bit.
+        a, val = crop.ravel(), 0.0
+        for shift, p, q in ((0, 1.0 - ty, 1.0 - tx), (1, 1.0 - ty, tx), (cw + 1, ty, 1.0 - tx), (cw + 2, ty, tx)):
+            val += a[shift:][k] * p * q
+        out[b0:b1] = np.where((y >= 0) & (y <= ch - 1) & (x >= 0) & (x <= cw - 1), val, 0.0)
 
     _bands.over_rows(v1 - v0, remap)
     return out

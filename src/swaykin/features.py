@@ -2,10 +2,10 @@
 
 Images are 2D float arrays with intensities in [0, 1], indexed [v, u]
 (row, column); :func:`detect_sequence` also accepts uint8 frames, taken as
-value / 255. Point coordinates are (u, v) pixel pairs. Detection works by
-convolving saddle-point prototype kernels at two orientations, composing the
-quadrant responses into a per-pixel likelihood, suppressing non-maxima, and
-refining surviving peaks with a gradient-orthogonality solve.
+value / 255. Point coordinates are (u, v) pixel pairs. Detection correlates
+saddle-point prototype kernels at two orientations through their 1-D factors,
+composes the quadrant responses into a per-pixel likelihood, suppresses
+non-maxima, and refines surviving peaks with a gradient-orthogonality solve.
 """
 from __future__ import annotations
 
@@ -146,22 +146,55 @@ def _quadrant_kernels() -> list[np.ndarray]:
     ]
 
 
-_KERNELS = _quadrant_kernels()
+# The quadrant kernels' exact 1-D factors, e(t) = exp(-t²/2σ²), and the sums
+# of the 0° and the 45° kernels, by which the first filter of each divides.
+_E = np.exp(-np.arange(KERNEL_RADIUS + 1.0) ** 2 / (2.0 * KERNEL_SIGMA**2))
+_Z_AXIS = _E[1:].sum() ** 2
+_Z_CONE = sum(_E[i] * (_E[0] + 2.0 * _E[1:i].sum()) for i in range(1, KERNEL_RADIUS + 1))
 
 
-def _saddle_response(img: np.ndarray, kernels: list[np.ndarray]) -> np.ndarray:
-    """One orientation's saddle response. Each correlation is freed once used,
-    which bounds the peak memory of a band."""
-    from scipy import ndimage
-    fa, fb, fc, fd = (ndimage.correlate(img, k, mode="nearest") for k in kernels)
+def _above_below(src: np.ndarray, n: int, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each of the n middle rows of ``src`` (r more above and below) summed
+    with weights[i - 1] over the rows i above it, and apart over those below."""
+    r = KERNEL_RADIUS
+    above, below = weights[0] * src[r - 1 : r - 1 + n], weights[0] * src[r + 1 : r + 1 + n]
+    for i in range(2, r + 1):
+        above += weights[i - 1] * src[r - i : r - i + n]
+        below += weights[i - 1] * src[r + i : r + i + n]
+    return above, below
+
+
+def _axis_means(pad: np.ndarray, n: int, w: int) -> list[np.ndarray]:
+    """The 0° quadrant means at the middle n x w pixels of ``pad``, each a
+    half-row of e times a half-column, in the order of :func:`_quadrant_kernels`."""
+    left, right = (h.T for h in _above_below(pad.T, w, _E[1:] / _Z_AXIS))
+    (up_left, down_left), (up_right, down_right) = (_above_below(h, n, _E[1:]) for h in (left, right))
+    return [up_left, down_right, up_right, down_left]
+
+
+def _cone_means(pad: np.ndarray, n: int, w: int) -> list[np.ndarray]:
+    """The 45° quadrant means, as :func:`_axis_means`. The cone x < -|y| is
+    e(i) at x = -i times e(y) over |y| < i: a shifted sum of running sums."""
+    r, means = KERNEL_RADIUS, []
+    for src, rows, cols in ((pad, n, w), (pad.T, w, n)):
+        col = (_E[0] / _Z_CONE) * src[r : r + rows]  # Σ e(y) over |y| < i, from i = 1
+        left, right = _E[1] * col[:, r - 1 : r - 1 + cols], _E[1] * col[:, r + 1 : r + 1 + cols]
+        for i in range(2, r + 1):
+            col += (_E[i - 1] / _Z_CONE) * (src[r - i + 1 : r - i + 1 + rows] + src[r + i - 1 : r + i - 1 + rows])
+            left += _E[i] * col[:, r - i : r - i + cols]
+            right += _E[i] * col[:, r + i : r + i + cols]
+        means += [left, right] if src is pad else [right.T, left.T]  # in pad.T, left is up
+    return means
+
+
+def _saddle_response(fa: np.ndarray, fb: np.ndarray, fc: np.ndarray, fd: np.ndarray) -> np.ndarray:
+    """One orientation's saddle response (see :func:`corner_likelihood`), in place of the
+    quadrant means. With d_ab = min(a, b) - mu and d_cd = mu - min(c, d), s- = -max(d_ab, d_cd)."""
     mu = 0.25 * (fa + fb + fc + fd)
-    lo_ab = np.minimum(fa, fb)
-    del fa, fb
-    lo_cd = np.minimum(fc, fd)
-    del fc, fd
-    s_pos = np.minimum(lo_ab - mu, mu - lo_cd)
-    s_neg = np.minimum(mu - lo_ab, lo_cd - mu)
-    return np.maximum(s_pos, s_neg, out=s_pos)
+    d_ab = np.subtract(np.minimum(fa, fb, out=fa), mu, out=fa)
+    d_cd = np.subtract(mu, np.minimum(fc, fd, out=fc), out=fc)
+    s_pos = np.minimum(d_ab, d_cd, out=mu)
+    return np.maximum(s_pos, np.negative(np.maximum(d_ab, d_cd, out=d_ab), out=d_ab), out=s_pos)
 
 
 def corner_likelihood(image: np.ndarray) -> np.ndarray:
@@ -179,10 +212,10 @@ def corner_likelihood(image: np.ndarray) -> np.ndarray:
     The likelihood is the maximum response over orientations and polarities,
     clamped at 0, with the border band (kernel radius) zeroed.
 
-    The map is computed in row bands across the cores. Each band correlates
-    its rows plus the kernel radius above and below, so the image's edge
-    rows are replicated only at the image border, and the map equals one
-    pass over the whole image value for value.
+    The quadrant means, the image's correlations with the kernels' 1-D
+    factors, are computed in row bands across the cores. Each band reads its
+    rows plus the kernel radius above and below, edge values only past the
+    image border, so the map equals one pass over the whole image.
     """
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
@@ -191,14 +224,14 @@ def corner_likelihood(image: np.ndarray) -> np.ndarray:
         raise ValueError(f"image {img.shape} smaller than kernel ({KERNEL_SIZE}x{KERNEL_SIZE})")
 
     r = KERNEL_RADIUS
-    like = np.zeros_like(img)
+    h, w = img.shape
+    like = np.zeros_like(img)  # so that the maxima taken into it are clamped at 0
 
     def rows(v0: int, v1: int) -> None:
-        a = max(v0 - r, 0)
-        slab, band = img[a : v1 + r], like[v0:v1]
-        for kernels in (_KERNELS[:4], _KERNELS[4:]):
-            np.maximum(band, _saddle_response(slab, kernels)[v0 - a : v1 - a], out=band)
-        np.maximum(band, 0.0, out=band)
+        pad = np.pad(img[max(v0 - r, 0) : v1 + r], ((max(r - v0, 0), max(v1 + r - h, 0)), (r, r)), mode="edge")
+        band = like[v0:v1]
+        for means in (_axis_means, _cone_means):
+            np.maximum(band, _saddle_response(*means(pad, v1 - v0, w)), out=band)
 
     _bands.over_rows(len(img), rows)
     like[:r, :] = 0.0
@@ -223,19 +256,25 @@ def detect_features(
         raise ValueError(f"nms_radius must be >= 1, got {nms_radius}")
     like = np.asarray(likelihood, dtype=float)
     r = int(nms_radius)
-    from scipy import ndimage
-    peak = np.empty(like.shape, dtype=bool)
+    h = len(like)
+    k = (2 * r + 1).bit_length() - 1
+    steps = [1 << i for i in range(k)] + [2 * r + 1 - (1 << k)]
+    found = [np.empty((0, 2), dtype=np.intp)]  # each band's peaks as (v, u) rows
 
     # The maximum filter runs in row bands across the cores, each reading
     # nms_radius rows beyond its own: the same peaks as one whole-map pass.
+    # A maximum rounds nothing: runs of 2^i rows, then 2r + 1, then columns.
     def rows(v0: int, v1: int) -> None:
-        a = max(v0 - r, 0)
-        top = ndimage.maximum_filter(like[a : v1 + r], size=2 * r + 1, mode="nearest")
+        top = np.pad(like[max(v0 - r, 0) : v1 + r], ((max(r - v0, 0), max(v1 + r - h, 0)), (r, r)), mode="edge")
+        for _ in "vu":
+            for step in steps:
+                top = np.maximum(top[:-step], top[step:])
+            top = top.T
         band = like[v0:v1]
-        peak[v0:v1] = (band >= top[v0 - a : v1 - a]) & (band > threshold)
+        found.append(np.argwhere((band >= top) & (band > threshold)) + [v0, 0])
 
-    _bands.over_rows(len(like), rows)
-    vs, us = np.nonzero(peak)
+    _bands.over_rows(h, rows)
+    vs, us = np.concatenate(found).T
     scores = like[vs, us]
     order = np.lexsort((us, vs, -scores))
     us, vs, scores = us[order], vs[order], scores[order]
@@ -280,10 +319,12 @@ def refine_subpixel(image: np.ndarray, coarse: np.ndarray) -> np.ndarray:
             f"exceeds image bounds {w}x{h}"
         )
 
-    from scipy import ndimage
     patch = img[cv - r - 1 : cv + r + 2, cu - r - 1 : cu + r + 2]
-    gx = ndimage.correlate(patch, SOBEL_X, mode="nearest")[1:-1, 1:-1]
-    gy = ndimage.correlate(patch, SOBEL_Y, mode="nearest")[1:-1, 1:-1]
+    gx, gy = np.zeros((2, 2 * r + 1, 2 * r + 1))
+    # The nonzero taps summed in row-major order from 0: scipy.ndimage's gradients, bit for bit.
+    for g, kernel in ((gx, SOBEL_X), (gy, SOBEL_Y)):
+        for i, j in zip(*np.nonzero(kernel)):
+            g += kernel[i, j] * patch[i : i + 2 * r + 1, j : j + 2 * r + 1]
     vv, uu = np.mgrid[cv - r : cv + r + 1, cu - r : cu + r + 1].astype(float)
 
     gxx, gxy, gyy = gx * gx, gx * gy, gy * gy

@@ -239,6 +239,16 @@ def test_banded_undistort_frame_equals_one_remap():
     npt.assert_array_equal(undistort_frame(intr, img, (7, 150, 61, 560)), ref[150:560, 7:61])
 
 
+def test_undistort_frame_samples_the_last_row_and_column_exactly():
+    """A distortion too small to move a pixel samples the image at its own
+    pixels, the last row and column included, and gives it back bit for bit,
+    as scipy.ndimage.map_coordinates does."""
+    intr = CameraIntrinsics(fx=512, fy=512, x0=40, y0=30, k1=1e-30)
+    img = np.random.default_rng(8).uniform(0, 1, (300, 70))
+    npt.assert_array_equal(undistort_frame(intr, img), img)
+    npt.assert_array_equal(undistort_frame(intr, img, (3, 200, 70, 300)), img[200:, 3:])
+
+
 # ---------------------------------------------------------------------------
 # homography
 

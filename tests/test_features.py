@@ -36,7 +36,7 @@ from swaykin import (
     render_frame,
 )
 from swaykin import RigidTransform, _bands
-from swaykin.features import SOBEL_X, SOBEL_Y, _quadrant_kernels
+from swaykin.features import KERNEL_RADIUS, SOBEL_X, SOBEL_Y, _axis_means, _cone_means, _quadrant_kernels
 from swaykin.synth import DEFAULT_INTRINSICS
 
 
@@ -110,6 +110,21 @@ def test_likelihood_rotated_saddle_still_peaks():
     assert (u, v) == (50, 50)
 
 
+# The map lies in [0, 1]. Computed from the kernels' 1-D factors, its sums
+# run in another order than the eight 2-D correlations, so it may differ
+# from them in the last bits.
+LIKELIHOOD_ATOL = 1e-15
+
+
+def _same_peaks(like, ref):
+    """Detections on ``like`` at the positions of those on ``ref``."""
+    threshold = 0.5 * ref.max()
+    npt.assert_array_equal(
+        [d.position for d in detect_features(like, threshold, nms_radius=8)],
+        [d.position for d in detect_features(ref, threshold, nms_radius=8)],
+    )
+
+
 def test_likelihood_equals_eight_response_reference():
     """All eight quadrant correlations held at once, composed per orientation."""
     img = np.random.default_rng(11).uniform(0.0, 1.0, (90, 120))
@@ -124,12 +139,15 @@ def test_likelihood_equals_eight_response_reference():
         ref = np.maximum(ref, np.maximum(s_pos, s_neg))
     ref = np.maximum(ref, 0.0)
     ref[:5, :] = ref[-5:, :] = ref[:, :5] = ref[:, -5:] = 0.0
-    npt.assert_array_equal(corner_likelihood(img), ref)
+    like = corner_likelihood(img)
+    npt.assert_allclose(like, ref, rtol=0, atol=LIKELIHOOD_ATOL)
+    _same_peaks(like, ref)
 
 
 def test_banded_likelihood_and_peaks_equal_one_band(monkeypatch):
-    """A map several bands tall equals the eight-response reference, and its
-    peaks equal those found with the whole map as one band, bit for bit."""
+    """A map several bands tall equals the eight-response reference and, bit
+    for bit, the map computed as one band; its peaks equal those found with
+    the whole map as one band, bit for bit."""
     img = np.random.default_rng(12).uniform(0.0, 1.0, (700, 130))
     assert len(img) > 2 * _bands._BAND_ROWS  # band edges lie inside the image
     resp = [ndimage.correlate(img, k, mode="nearest") for k in _quadrant_kernels()]
@@ -142,7 +160,11 @@ def test_banded_likelihood_and_peaks_equal_one_band(monkeypatch):
     ref = np.maximum(ref, 0.0)
     ref[:5, :] = ref[-5:, :] = ref[:, :5] = ref[:, -5:] = 0.0
     like = corner_likelihood(img)
-    npt.assert_array_equal(like, ref)
+    npt.assert_allclose(like, ref, rtol=0, atol=LIKELIHOOD_ATOL)
+    _same_peaks(like, ref)
+    with monkeypatch.context() as one_band:
+        one_band.setattr(_bands, "_BAND_ROWS", len(img))
+        npt.assert_array_equal(corner_likelihood(img), like)
 
     # Rounded, so equal scores form plateaus that cross band edges too.
     like = np.round(like, 2)
@@ -152,6 +174,23 @@ def test_banded_likelihood_and_peaks_equal_one_band(monkeypatch):
     assert len(banded) > 50
     npt.assert_array_equal([d.position for d in banded], [d.position for d in whole])
     npt.assert_array_equal([d.score for d in banded], [d.score for d in whole])
+
+
+def test_factored_means_respond_to_an_impulse_with_the_quadrant_kernels():
+    """Each 1-D factorization, applied to an impulse, gives its quadrant
+    kernel mirrored, as a correlation does. exp(a + b) and exp(a)·exp(b)
+    differ by up to 2 ulps, 5.6e-17 at the kernels' largest entry (0.196),
+    so the kernels are met to 1e-16."""
+    r = KERNEL_RADIUS
+    n = 4 * r + 1
+    impulse = np.zeros((n, n))
+    impulse[2 * r, 2 * r] = 1.0
+    pad = np.pad(impulse, r)
+    got = _axis_means(pad, n, n) + _cone_means(pad, n, n)
+    for response, kernel in zip(got, _quadrant_kernels(), strict=True):
+        want = np.zeros((n, n))
+        want[r : 3 * r + 1, r : 3 * r + 1] = kernel[::-1, ::-1]
+        npt.assert_allclose(response, want, rtol=0, atol=1e-16)
 
 
 def test_banded_likelihood_from_many_threads_at_once():
@@ -312,6 +351,24 @@ def test_detect_nms_matches_greedy_reference_on_plateau_maps():
         assert got == _greedy_nms(m, 0.5 / levels, radius)
 
 
+@pytest.mark.parametrize("kind", ["random", "rounded", "band_edges"])
+def test_detect_peaks_equal_the_ndimage_maximum_filter(kind):
+    """The peaks, positions and scores, equal those of
+    scipy.ndimage.maximum_filter bit for bit, also on plateaus that cross
+    the edges of the row bands."""
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        shape = (3 * _bands._BAND_ROWS + 17, 61) if kind == "band_edges" else tuple(rng.integers(20, 120, 2))
+        m = rng.uniform(0.0, 1.0, shape) ** 3
+        if kind != "random":
+            m = np.round(m, 1)
+        radius = int(rng.integers(1, 9))
+        dets = detect_features(m, 0.05, radius)
+        assert dets
+        got = [(int(d.position[0]), int(d.position[1]), d.score) for d in dets]
+        assert got == _greedy_nms(m, 0.05, radius)
+
+
 # ---------------------------------------------------------------------------
 # refine_subpixel
 
@@ -366,6 +423,27 @@ def test_refine_returns_objective_minimizer():
         f0 = _orthogonality_objective(img, coarse, p)
         for du, dv in [(0.1, 0), (-0.1, 0), (0, 0.1), (0, -0.1), (0.1, 0.1), (-0.1, -0.1)]:
             assert f0 <= _orthogonality_objective(img, coarse, p + [du, dv]) + 1e-12
+
+
+def _ndimage_refinement(img, coarse, r=5):
+    """The refiner's closed-form solve from scipy.ndimage's Sobel gradients."""
+    cu, cv = int(round(coarse[0])), int(round(coarse[1]))
+    patch = img[cv - r - 1 : cv + r + 2, cu - r - 1 : cu + r + 2]
+    gx = ndimage.correlate(patch, SOBEL_X, mode="nearest")[1:-1, 1:-1]
+    gy = ndimage.correlate(patch, SOBEL_Y, mode="nearest")[1:-1, 1:-1]
+    vv, uu = np.mgrid[cv - r : cv + r + 1, cu - r : cu + r + 1].astype(float)
+    gxx, gxy, gyy = gx * gx, gx * gy, gy * gy
+    A = np.array([[gxx.sum(), gxy.sum()], [gxy.sum(), gyy.sum()]])
+    return np.linalg.solve(A, [(gxx * uu + gxy * vv).sum(), (gxy * uu + gyy * vv).sum()])
+
+
+def test_refine_equals_the_ndimage_gradients_solve():
+    rng = np.random.default_rng(77)
+    for _ in range(20):
+        center = np.array([60.0, 60.0]) + rng.uniform(-0.5, 0.5, 2)
+        img = draw_saddle((120, 120), center, angle=rng.uniform(0, np.pi / 2))
+        coarse = np.round(center)
+        npt.assert_array_equal(refine_subpixel(img, coarse), _ndimage_refinement(img, coarse))
 
 
 def test_detect_refined_grid_accuracy():

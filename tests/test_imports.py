@@ -1,9 +1,10 @@
 """What the package exports, and which scipy modules a command loads.
 
 A command imports only what it calls: ``import swaykin.cli`` and the
-``analyze`` and ``agree`` commands need no scipy, and a feature-CSV ``track``
-needs only ``scipy.linalg``. Each case runs in a fresh interpreter, so
-modules that other tests imported cannot hide a top-level import.
+``analyze`` and ``agree`` commands need no scipy, and ``track``, on feature
+CSVs or on frames, needs only ``scipy.linalg``. Each case runs in a fresh
+interpreter, so modules that other tests imported cannot hide a top-level
+import.
 """
 
 import ast
@@ -149,7 +150,8 @@ def test_frames_track_leaves_no_thread_running(tmp_path):
 
 
 def test_frames_track_loads_no_scipy_spatial(tmp_path):
-    # Acquiring the target on frames labels its junctions without a convex hull.
+    # Acquiring the target on frames labels its junctions without a convex
+    # hull, and the detector and the remap filter in numpy.
     scenario = {
         "duration_sec": 0.2,
         "rate_hz": 10.0,
@@ -164,8 +166,8 @@ def test_frames_track_loads_no_scipy_spatial(tmp_path):
     assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out", str(sim), "--render-frames"]) == 0
     argv = ["track", "--config", str(sim / "track_config.json"), "--frames", str(sim / "frames_lumbar")]
     steps = _scipy_modules_after(tmp_path, argv + ["--out", str(tmp_path / "out")])
-    assert "scipy.ndimage" in steps[1]
-    assert not [m for m in steps[1] if m == "scipy.spatial" or m.startswith("scipy.spatial.")]
+    for name in ("scipy.ndimage", "scipy.optimize", "scipy.spatial"):
+        assert not [m for m in steps[1] if m == name or m.startswith(name + ".")], name
 
 
 def test_all_is_what_the_package_imports():
