@@ -122,14 +122,11 @@ def _finite(value, key: str, positive: bool) -> float:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     board = _load_json(args.board)
-    try:
-        rows = int(_require(board, "rows", "board descriptor"))
-        cols = int(_require(board, "cols", "board descriptor"))
-        pitch = float(_require(board, "square_size_mm", "board descriptor"))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"board descriptor {args.board}: {e}") from e
-    if rows < 2 or cols < 2 or pitch <= 0:
-        raise ConfigError("board needs rows >= 2, cols >= 2 and positive square_size_mm")
+    rows, cols = (_require(board, key, "board descriptor") for key in ("rows", "cols"))
+    # JSON integers only: 7.5, "7" and true are refused (`type(True) is bool`).
+    if not all(type(n) is int and n >= 2 for n in (rows, cols)):
+        raise ConfigError(f"board rows and cols must be integers >= 2, got {rows!r} and {cols!r}")
+    pitch = _finite(_require(board, "square_size_mm", "board descriptor"), "square_size_mm", positive=True)
 
     paths = _pgm_paths(Path(args.frames))
 
@@ -233,7 +230,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ConfigError(f"scenario base_pose: {e}") from e
     else:
         base_pose = synth.DEFAULT_BASE_POSE
-    image_size = tuple(sc.get("image_size", synth.DEFAULT_IMAGE_SIZE))
+    image_size = sc.get("image_size", synth.DEFAULT_IMAGE_SIZE)
+    if not (isinstance(image_size, (list, tuple)) and len(image_size) == 2
+            and all(type(n) is int and n > 0 for n in image_size)):
+        raise ConfigError(f"image_size must be two positive integers [height, width], got {image_size!r}")
+    image_size = tuple(image_size)
     M0 = pose.motion_matrix(base_pose)
     board_T = camera.RigidTransform(M0[:3, :3], M0[:3, 3])
     if args.render_frames:
@@ -516,8 +517,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.compare is not None:
         paths_b = _trajectory_files(Path(args.compare))
         _, cells_b = _tpl_table(paths_b, bins)
-        report_path = out / "cohens_d.csv"
-        lines = ["direction,bin,d,n_a,n_b"]
+        cells = []
         for direction in sorted(metrics.DIRECTIONS):
             for label in bins.labels:
                 a = cells_a.get((direction, label), {})
@@ -529,9 +529,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                     )
                     continue
                 d = metrics.cohens_d(np.array(list(a.values())), np.array(list(b.values())))
-                lines.append(f"{direction},{label},{repr(d)},{len(a)},{len(b)}")
-        report_path.write_text("\n".join(lines) + "\n")
-        print(f"effect sizes -> {report_path}")
+                cells.append((direction, label, d, len(a), len(b)))
+        fileio.save_cohens_d_csv(out / "cohens_d.csv", cells)
+        print(f"effect sizes -> {out / 'cohens_d.csv'}")
     return EXIT_OK
 
 

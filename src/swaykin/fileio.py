@@ -135,40 +135,53 @@ def load_extrinsics(path: str | Path) -> RigidTransform:
     )
 
 
-def save_features_csv(path: str | Path, frames: list[list[FeatureObservation]]) -> None:
-    """Write per-frame observations as `frame,model_index,u,v,score` rows."""
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write ``header``, then ``rows``, in the csv module's dialect: CRLF line
+    ends, a cell quoted only when it must be."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["frame", "model_index", "u", "v", "score"])
-        for k, obs in enumerate(frames):
-            for o in obs:
-                idx = "" if o.model_index is None else o.model_index
-                w.writerow([k, idx, _fmt(o.position[0]), _fmt(o.position[1]), _fmt(o.score)])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _read_csv(path: str | Path, fields: list[tuple[str, type]], converters: dict) -> np.ndarray:
+    """Read the columns ``fields`` (name, dtype) of a CSV into a structured
+    array, a record per row in file order. The header names the columns, in
+    any order; others are ignored. Cells may be quoted. ``converters`` maps a
+    field's name to its cell parser. A text field must be ``object``: a
+    ``str`` one reads a quoted cell as ``''``."""
+    names = [n for n, _ in fields]
+    with open(path) as f:
+        header = next(csv.reader([f.readline()]))
+        if not set(names).issubset(header):
+            raise ValueError(f"{path}: expected columns {sorted(names)}")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(
+                f, delimiter=",", quotechar='"', usecols=[header.index(n) for n in names], ndmin=1, dtype=fields,
+                converters={header.index(n): c for n, c in converters.items()},
+            )
+
+
+def save_features_csv(path: str | Path, frames: list[list[FeatureObservation]]) -> None:
+    """Write per-frame observations as `frame,model_index,u,v,score` rows."""
+    _write_csv(path, ["frame", "model_index", "u", "v", "score"], (
+        [k, "" if o.model_index is None else o.model_index, _fmt(o.position[0]), _fmt(o.position[1]),
+         _fmt(o.score)] for k, obs in enumerate(frames) for o in obs
+    ))
 
 
 def load_feature_columns(path: str | Path) -> FeatureColumns:
     """Read a feature CSV into columns, its rows in frame order.
 
-    The header names the columns, in any order; others are ignored. Frames
-    are the contiguous range 0..max(frame), so a frame with no rows is empty
-    (a dropout-induced gap); rows of one frame keep their order in the file.
-    A frame number or model index that is not an integer is refused, as
+    Frames are the contiguous range 0..max(frame), so a frame with no rows is
+    empty (a dropout-induced gap); rows of one frame keep their order in the
+    file. A frame number or model index that is not an integer is refused, as
     :class:`FeatureColumns` refuses a negative frame number and a position
     that is not finite. An empty model index reads as NaN.
     """
-    names = ("frame", "model_index", "u", "v", "score")
-    with open(path) as f:
-        header = next(csv.reader([f.readline()]))
-        if not set(names).issubset(header):
-            raise ValueError(f"{path}: expected columns {sorted(names)}")
-        cols = [header.index(n) for n in names]
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(
-                f, delimiter=",", usecols=cols, ndmin=1,
-                dtype=[("frame", np.int64)] + [(n, float) for n in names[1:]],
-                converters={cols[1]: lambda s: int(s) if s else math.nan},
-            )
+    fields = [("frame", np.int64)] + [(n, float) for n in ("model_index", "u", "v", "score")]
+    rows = _read_csv(path, fields, {"model_index": lambda s: int(s) if s else math.nan})
     rows = rows[np.argsort(rows["frame"], kind="stable")]
     n_frames = int(rows["frame"][-1]) + 1 if len(rows) else 0
     uv = np.column_stack([rows["u"], rows["v"]])
@@ -182,39 +195,33 @@ def load_features_csv(path: str | Path) -> list[list[FeatureObservation]]:
     return [cols.observations(i) for i in range(cols.n_frames)]
 
 
+_THETAS = [f"theta{i}" for i in range(1, 7)]
+
+
 def save_pose_track_csv(path: str | Path, track: PoseTrack) -> None:
     """Write `frame,t_sec,status,theta1..theta6,rms_px,iters` rows."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(
-            ["frame", "t_sec", "status"]
-            + [f"theta{i}" for i in range(1, 7)]
-            + ["rms_px", "iters"]
+    _write_csv(path, ["frame", "t_sec", "status", *_THETAS, "rms_px", "iters"], (
+        [k, _fmt(k / track.rate_hz), status] + (
+            [""] * 8 if report is None
+            else [_fmt(v) for v in report.theta.as_array()] + [_fmt(report.rms_residual_px), report.iterations]
         )
-        for k, (report, status) in enumerate(zip(track.reports, track.statuses)):
-            t = k / track.rate_hz
-            if report is None:
-                w.writerow([k, _fmt(t), status] + [""] * 8)
-            else:
-                w.writerow(
-                    [k, _fmt(t), status]
-                    + [_fmt(v) for v in report.theta.as_array()]
-                    + [_fmt(report.rms_residual_px), report.iterations]
-                )
+        for k, (report, status) in enumerate(zip(track.reports, track.statuses))
+    ))
 
 
 def save_theta_csv(path: str | Path, theta_seq: np.ndarray, rate_hz: float) -> None:
     """Write a ground-truth parameter sequence as `frame,t_sec,theta1..theta6`."""
     seq = np.asarray(theta_seq, dtype=float)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["frame", "t_sec"] + [f"theta{i}" for i in range(1, 7)])
-        for k, row in enumerate(seq):
-            w.writerow([k, _fmt(k / rate_hz)] + [_fmt(v) for v in row])
+    rows = ([k, _fmt(k / rate_hz)] + [_fmt(v) for v in row] for k, row in enumerate(seq))
+    _write_csv(path, ["frame", "t_sec", *_THETAS], rows)
 
 
-def _time_step(path: str | Path, step: float) -> float:
-    """``step`` (s) between a file's first two samples, if finite and positive."""
+def _time_step(path: str | Path, t_sec: np.ndarray) -> float:
+    """The step (s) between a file's first two samples, of which there must
+    be two; it must be finite and positive."""
+    if len(t_sec) < 2:
+        raise ValueError(f"{path}: need at least 2 rows")
+    step = float(t_sec[1] - t_sec[0])
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"{path}: t_sec step {step} is not finite and positive")
     return step
@@ -222,59 +229,48 @@ def _time_step(path: str | Path, step: float) -> float:
 
 def load_theta_csv(path: str | Path) -> tuple[np.ndarray, float]:
     """Read a parameter sequence; returns (theta array (n,6), rate_hz)."""
-    rows = []
-    times = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            times.append(float(row["t_sec"]))
-            rows.append([float(row[f"theta{i}"]) for i in range(1, 7)])
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need at least 2 rows")
-    return np.array(rows), 1.0 / _time_step(path, times[1] - times[0])
+    rows = _read_csv(path, [(n, float) for n in ("t_sec", *_THETAS)], {})
+    return np.column_stack([rows[n] for n in _THETAS]), 1.0 / _time_step(path, rows["t_sec"])
 
 
 def save_trajectory_csv(path: str | Path, traj: SwayTrajectory) -> None:
     """Write `t_sec,segment,AP_mm,ML_mm,SI_mm,valid` rows."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t_sec", "segment", "AP_mm", "ML_mm", "SI_mm", "valid"])
-        for t, row, ok in zip(traj.times, traj.samples, traj.valid):
-            w.writerow([_fmt(t), traj.label] + [_fmt(v) for v in row] + [int(ok)])
+    _write_csv(path, ["t_sec", "segment", "AP_mm", "ML_mm", "SI_mm", "valid"], (
+        [_fmt(t), traj.label] + [_fmt(v) for v in row] + [int(ok)]
+        for t, row, ok in zip(traj.times, traj.samples, traj.valid)
+    ))
 
 
 def load_trajectory_csv(path: str | Path) -> SwayTrajectory:
-    times = []
-    samples = []
-    valid = []
-    label = ""
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            times.append(float(row["t_sec"]))
-            label = row["segment"]
-            samples.append([float(row["AP_mm"]), float(row["ML_mm"]), float(row["SI_mm"])])
-            valid.append(bool(int(row["valid"])))
-    if len(times) < 2:
-        raise ValueError(f"{path}: need at least 2 samples")
-    dt = np.diff(times)
-    step = _time_step(path, float(dt[0]))
-    if not np.all(np.abs(dt - step) <= 1e-6):
+    """Read a trajectory whose rows name one segment, on a uniform timebase."""
+    axes = ["AP_mm", "ML_mm", "SI_mm"]
+    fields = [("t_sec", float), ("segment", object)] + [(n, float) for n in axes] + [("valid", np.int64)]
+    rows = _read_csv(path, fields, {})
+    step = _time_step(path, rows["t_sec"])
+    if not np.all(np.abs(np.diff(rows["t_sec"]) - step) <= 1e-6):
         raise ValueError(f"{path}: timebase is not uniform")
+    labels = sorted(set(rows["segment"]))
+    if len(labels) > 1:
+        raise ValueError(f"{path}: rows name more than one segment: {labels}")
     return SwayTrajectory(
         sample_rate_hz=1.0 / step,
-        label=label,
-        samples=np.array(samples),
-        valid=np.array(valid, dtype=bool),
-        t0=times[0],
+        label=labels[0],
+        samples=np.column_stack([rows[n] for n in axes]),
+        valid=rows["valid"] != 0,
+        t0=float(rows["t_sec"][0]),
     )
 
 
 def save_tpl_csv(path: str | Path, results: list[TplResult]) -> None:
     """Write `segment,direction,bin,tpl_mm` rows."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["segment", "direction", "bin", "tpl_mm"])
-        for r in results:
-            w.writerow([r.segment, r.direction, r.bin_label, _fmt(r.value_mm)])
+    rows = ([r.segment, r.direction, r.bin_label, _fmt(r.value_mm)] for r in results)
+    _write_csv(path, ["segment", "direction", "bin", "tpl_mm"], rows)
+
+
+def save_cohens_d_csv(path: str | Path, cells: list[tuple[str, str, float, int, int]]) -> None:
+    """Write a `direction,bin,d,n_a,n_b` row for each such tuple of ``cells``."""
+    rows = ([direction, label, _fmt(d), n_a, n_b] for direction, label, d, n_a, n_b in cells)
+    _write_csv(path, ["direction", "bin", "d", "n_a", "n_b"], rows)
 
 
 def save_agreement_json(path: str | Path, report: AgreementReport) -> None:

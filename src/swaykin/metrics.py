@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,7 +26,7 @@ class StanceBins:
     """Three ordered, contiguous, half-open stance-time intervals."""
 
     edges: tuple[float, float, float, float] = (0.0, 20.0, 40.0, 60.0)
-    labels: tuple[str, str, str] = ("early", "mid", "late")
+    labels: ClassVar[tuple[str, str, str]] = ("early", "mid", "late")
 
     def __post_init__(self) -> None:
         if len(self.edges) != 4 or any(

@@ -30,6 +30,10 @@ DEFAULT_IMAGE_SIZE = (2048, 2048)
 DEFAULT_INTRINSICS = camera.CameraIntrinsics(fx=4000.0, fy=4000.0, x0=1024.0, y0=1024.0)
 DEFAULT_BASE_POSE = KinematicParams(0.0, 0.0, 0.0, 0.0, 0.0, 1000.0)
 
+# A rendered junction's quadrants are 0.5 +- CONTRAST; edges ramp over +-AA_PX.
+CONTRAST = 0.4
+AA_PX = 1.0
+
 
 @dataclass(frozen=True)
 class SwayProfile:
@@ -134,14 +138,12 @@ def render_frame(
     intrinsics: camera.CameraIntrinsics = DEFAULT_INTRINSICS,
     image_size: tuple[int, int] = DEFAULT_IMAGE_SIZE,
     patch_half_px: float = 10.0,
-    contrast: float = 0.4,
-    aa_px: float = 1.0,
 ) -> np.ndarray:
     """Rasterize the target as anti-aliased saddle patches on mid-gray.
 
     Each feature becomes a 2x2 checker junction whose edges follow the
     projected target axes; intensities cross each edge as a smooth cubic
-    ramp of half-width ``aa_px`` so the junction center lands at the exact
+    ramp of half-width :data:`AA_PX` so the junction center lands at the exact
     projection. Features whose patch would leave the image (see
     :func:`outside_image`) are skipped, and counted in one warning. Returns a
     float image in [0, 1] of shape ``image_size`` (height, width).
@@ -162,7 +164,7 @@ def render_frame(
         intrinsics, identity, pts + eps * M[:3, 1], apply_distortion=True
     )
 
-    outside = outside_image(centers, image_size, patch_half_px, aa_px)
+    outside = outside_image(centers, image_size, patch_half_px)
     if np.any(outside):
         logger.warning("%d of %d features outside the image; skipped", np.sum(outside), len(centers))
     for i in np.flatnonzero(~outside):
@@ -180,13 +182,13 @@ def render_frame(
         d2 = e2[0] * rv - e2[1] * ru
         # C1 ramp: keeps sampled Sobel gradients symmetric about the true
         # center, which a hard clip does not (it aliases into ~0.05 px bias).
-        h1 = np.clip(d1 / aa_px, -1.0, 1.0)
-        h2 = np.clip(d2 / aa_px, -1.0, 1.0)
+        h1 = np.clip(d1 / AA_PX, -1.0, 1.0)
+        h2 = np.clip(d2 / AA_PX, -1.0, 1.0)
         h1 = 0.5 * h1 * (3.0 - h1 * h1)
         h2 = 0.5 * h2 * (3.0 - h2 * h2)
         inside = (np.abs(ru) <= patch_half_px) & (np.abs(rv) <= patch_half_px)
         patch = img[lo_v:hi_v, lo_u:hi_u]
-        patch[inside] = 0.5 + contrast * (h1 * h2)[inside]
+        patch[inside] = 0.5 + CONTRAST * (h1 * h2)[inside]
     return img
 
 
@@ -194,12 +196,11 @@ def outside_image(
     centers: np.ndarray,
     image_size: tuple[int, int],
     patch_half_px: float = 10.0,
-    aa_px: float = 1.0,
 ) -> np.ndarray:
     """Mask (n,) of the feature centers (n, 2) whose patch, as
-    :func:`render_frame` draws it with the same ``patch_half_px`` and
-    ``aa_px``, would leave an image of ``image_size`` (height, width)."""
+    :func:`render_frame` draws it with the same ``patch_half_px``, would
+    leave an image of ``image_size`` (height, width)."""
     h, w = image_size
-    margin = patch_half_px + aa_px + 1.0
+    margin = patch_half_px + AA_PX + 1.0
     u, v = centers[:, 0], centers[:, 1]
     return ~((margin <= u) & (u < w - margin) & (margin <= v) & (v < h - margin))

@@ -132,6 +132,22 @@ def test_calibrate_bad_board_spec(cal_dir, tmp_path):
     assert rc == 2
 
 
+# A float, a string or a bool where an integer or a pitch is due, and a pitch
+# that is not finite.
+@pytest.mark.parametrize(
+    "key, value",
+    [("rows", 4.5), ("rows", 4.0), ("cols", "5"), ("cols", True), ("square_size_mm", True),
+     ("square_size_mm", "30"), ("square_size_mm", math.nan)],
+)
+def test_calibrate_refuses_a_board_value_of_the_wrong_type(cal_dir, tmp_path, caplog, key, value):
+    board = tmp_path / "board.json"
+    board.write_text(json.dumps({"rows": 4, "cols": 5, "square_size_mm": 30.0, key: value}))
+    rc = main(["calibrate", "--frames", str(cal_dir / "frames"), "--board", str(board), "--out", str(tmp_path / "o.json")])
+    assert rc == 2
+    assert key in caplog.text
+    assert not (tmp_path / "o.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate + track (feature-CSV path)
 
@@ -486,6 +502,14 @@ def test_simulate_rejects_target_outside_image(tmp_path, caplog):
     assert not list(tmp_path.glob("**/frames_*"))
 
 
+@pytest.mark.parametrize("image_size", [5, [512.5, 512], [512], [512, 512, 1], [0, 512], [True, 512], "512"])
+def test_simulate_refuses_an_image_size_that_is_not_two_positive_integers(tmp_path, caplog, image_size):
+    sc = {"duration_sec": 0.3, "rate_hz": 30.0, "image_size": image_size, "targets": ["lumbar"]}
+    (tmp_path / "s.json").write_text(json.dumps(sc))
+    assert main(["simulate", "--scenario", str(tmp_path / "s.json"), "--out", str(tmp_path / "o")]) == 2
+    assert "image_size" in caplog.text
+
+
 def test_simulate_renders_frames(frames_sim_dir):
     frames = sorted((frames_sim_dir / "frames_lumbar").glob("*.pgm"))
     assert len(frames) == 10
@@ -587,6 +611,26 @@ def test_analyze_compare_effect_sizes(tmp_path):
         ]
     expect = cohens_d(np.array(vals["a"]), np.array(vals["b"]))
     assert table[("AP", "early")] == pytest.approx(expect, abs=1e-12)
+
+
+def test_analyze_compare_writes_cohens_d_csv_bytes(tmp_path):
+    # Each subject moves `step` mm along every axis per sample: at 2 Hz and
+    # bins of 1 s, a path length is 2 (1 in the last bin) steps' length.
+    dirs = {}
+    for cond, steps in (("a", (1.0, 7.0)), ("b", (1.0, 9.0))):
+        dirs[cond] = tmp_path / cond
+        dirs[cond].mkdir()
+        for k, step in enumerate(steps):
+            x = step * np.arange(6)
+            _write_traj(dirs[cond] / f"trajectory_p{k}.csv", x, ml=x, si=x, rate=2.0, label=f"p{k}")
+    out = tmp_path / "out"
+    rc = main(["analyze", "--traj", str(dirs["a"]), "--compare", str(dirs["b"]), "--bins", "0,1,2,3", "--out", str(out)])
+    assert rc == 0
+    # d is 1/5 in every cell; the diagonal steps of two axes round below it.
+    diagonal = "0.19999999999999998"
+    rows = [f"{d},{b},{v},2,2" for d, v in (("AP", "0.2"), ("APML", diagonal), ("APSI", diagonal), ("ML", "0.2"),
+                                          ("MLSI", diagonal), ("SI", "0.2")) for b in ("early", "mid", "late")]
+    assert (out / "cohens_d.csv").read_bytes() == "".join(f"{r}\r\n" for r in ["direction,bin,d,n_a,n_b", *rows]).encode()
 
 
 def test_analyze_rejects_bad_bins(tmp_path):

@@ -15,6 +15,8 @@ from swaykin import (
     GeometricTargetModel,
     KinematicParams,
     RigidTransform,
+    FitReport,
+    PoseTrack,
     SwayTrajectory,
     TplResult,
     default_target,
@@ -372,6 +374,24 @@ def test_trajectory_csv_rejects_single_row(tmp_path):
         fileio.load_trajectory_csv(p)
 
 
+def test_trajectory_csv_refuses_rows_of_more_than_one_segment(tmp_path):
+    p = tmp_path / "two.csv"
+    p.write_text("t_sec,segment,AP_mm,ML_mm,SI_mm,valid\n" "0.0,lumbar,1.0,2.0,3.0,1\n" "0.1,thoracic,1.0,2.0,3.0,1\n")
+    with pytest.raises(ValueError, match=r"more than one segment: \['lumbar', 'thoracic'\]"):
+        fileio.load_trajectory_csv(p)
+
+
+def test_trajectory_csv_roundtrips_a_label_with_a_comma_and_a_quote(tmp_path):
+    label = 'left, "upper" trunk'
+    traj = SwayTrajectory(sample_rate_hz=30.0, label=label, samples=np.ones((3, 3)), valid=np.ones(3, bool))
+    p = tmp_path / "traj.csv"
+    fileio.save_trajectory_csv(p, traj)
+    assert '"left, ""upper"" trunk"' in p.read_text()
+    back = fileio.load_trajectory_csv(p)
+    assert back.label == label
+    npt.assert_array_equal(back.samples, traj.samples)
+
+
 # ---------------------------------------------------------------------------
 # TPL CSV and agreement JSON
 
@@ -398,3 +418,62 @@ def test_agreement_json_roundtrip(tmp_path):
     assert data["loa"] == [-0.5, 0.52]
     assert data["n"] == 1800
     assert data["r2"] == 0.993
+
+
+# ---------------------------------------------------------------------------
+# The bytes each CSV writer leaves: CRLF line ends, Python float reprs, blank
+# cells for a gap and for a feature without a model index.
+
+
+def _crlf(*lines):
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+def test_features_csv_bytes(tmp_path):
+    frames = [
+        [FeatureObservation([1.5, 0.1], 1.0, model_index=0), FeatureObservation([2.0, 1e-20], np.float64(0.25))],
+        [],
+        [FeatureObservation([3.0, 4.0], 0.5, model_index=14)],
+    ]
+    p = tmp_path / "f.csv"
+    fileio.save_features_csv(p, frames)
+    assert p.read_bytes() == _crlf(
+        "frame,model_index,u,v,score", "0,0,1.5,0.1,1.0", "0,,2.0,1e-20,0.25", "2,14,3.0,4.0,0.5"
+    )
+
+
+def test_pose_track_csv_bytes(tmp_path):
+    fit = FitReport(KinematicParams(0.1, 0.0, -0.0, 1.5, -2.0, 1000.0), 0.125, 3, True, np.zeros(6))
+    p = tmp_path / "pose.csv"
+    fileio.save_pose_track_csv(p, PoseTrack(rate_hz=4.0, reports=[fit, None]))
+    assert p.read_bytes() == _crlf(
+        "frame,t_sec,status,theta1,theta2,theta3,theta4,theta5,theta6,rms_px,iters",
+        "0,0.0,fitted,0.1,0.0,-0.0,1.5,-2.0,1000.0,0.125,3",
+        "1,0.25,gap,,,,,,,,",
+    )
+
+
+def test_theta_csv_bytes(tmp_path):
+    p = tmp_path / "theta.csv"
+    fileio.save_theta_csv(p, [[0.1, 0, 0, 0, 0, 1000], [0.2, 0, 0, 0, 0, 999.5]], rate_hz=4.0)
+    assert p.read_bytes() == _crlf(
+        "frame,t_sec,theta1,theta2,theta3,theta4,theta5,theta6",
+        "0,0.0,0.1,0.0,0.0,0.0,0.0,1000.0",
+        "1,0.25,0.2,0.0,0.0,0.0,0.0,999.5",
+    )
+
+
+def test_trajectory_csv_bytes(tmp_path):
+    samples = np.array([[1.5, -0.25, 0.1], [np.nan, np.nan, np.nan]])
+    traj = SwayTrajectory(sample_rate_hz=4.0, label="lumbar", samples=samples, valid=[True, False], t0=2.0)
+    p = tmp_path / "traj.csv"
+    fileio.save_trajectory_csv(p, traj)
+    assert p.read_bytes() == _crlf(
+        "t_sec,segment,AP_mm,ML_mm,SI_mm,valid", "2.0,lumbar,1.5,-0.25,0.1,1", "2.25,lumbar,nan,nan,nan,0"
+    )
+
+
+def test_tpl_csv_bytes(tmp_path):
+    p = tmp_path / "tpl.csv"
+    fileio.save_tpl_csv(p, [TplResult("lumbar", "APML", "early", 123.456), TplResult("lumbar", "AP", "late", 1e-5)])
+    assert p.read_bytes() == _crlf("segment,direction,bin,tpl_mm", "lumbar,APML,early,123.456", "lumbar,AP,late,1e-05")
