@@ -487,30 +487,42 @@ def _jerk_banded(T: int, F: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 
 def _jerk_density(t: np.ndarray, y: np.ndarray, var: np.ndarray, T: int) -> float:
-    """Maximum-likelihood white-jerk density of one parameter's series.
+    """Maximum-likelihood white-jerk density of one parameter's series: the
+    density of the grid with the least :func:`_jerk_nll`."""
+    return float(_JERK_DENSITIES[np.argmin(_jerk_nll(t, y, var, T))])
+
+
+def _jerk_nll(t: np.ndarray, y: np.ndarray, var: np.ndarray, T: int) -> np.ndarray:
+    """Negative log diffuse likelihood, up to a constant, of each density of
+    the grid for one parameter's series.
 
     ``y`` are measurements at frames ``t`` (of T) with variances ``var``, in
-    units of the measurement noise. Each density of the grid is scored by the
-    diffuse likelihood: the likelihood of the Kalman innovations when the
-    first state has a flat prior, here from a banded Cholesky factorization
-    of the normal equations.
+    units of the measurement noise. The diffuse likelihood is that of the
+    Kalman innovations when the first state has a flat prior: the least
+    misfit plus the log-determinant of the normal equations, here from one
+    banded Cholesky factorization and its solve per density, straight from
+    LAPACK. The misfit is evaluated at the solution: an error there raises it
+    only at second order. The shortcut y^T R^-1 y - |L^-1 b|^2 cancels badly
+    where a small density makes the system ill-conditioned, and on a short
+    run it can fall far below the misfit and win the grid.
     """
-    from scipy.linalg import cho_solve_banded, cholesky_banded
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
     F, G = _jerk_matrices(np.ones(1))
     prior = _jerk_banded(T, F, G)
     rhs = np.zeros(3 * T)
     rhs[3 * t] = y / var
-    nll = []
-    for density in _JERK_DENSITIES:
+    nll = np.empty(len(_JERK_DENSITIES))
+    for k, density in enumerate(_JERK_DENSITIES):
         ab = prior / density
         ab[0, 3 * t] += 1.0 / var
-        chol = cholesky_banded(ab, lower=True, overwrite_ab=True)
-        z = cho_solve_banded((chol, True), rhs).reshape(T, 3)
+        chol, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info:
+            raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+        z = dpbtrs(chol, rhs, lower=1)[0].reshape(T, 3)
         w = z[1:] - z[:-1] @ F.T
         misfit = np.sum((y - z[t, 0]) ** 2 / var) + np.einsum("ti,ij,tj->", w, G, w) / density
-        logdet = 2.0 * np.sum(np.log(chol[0]))
-        nll.append(misfit + logdet + 3 * (T - 1) * np.log(density))
-    return float(_JERK_DENSITIES[np.argmin(nll)])
+        nll[k] = misfit + 2.0 * np.sum(np.log(chol[0])) + 3 * (T - 1) * np.log(density)
+    return nll
 
 
 def _columns(frames: Sequence[Sequence[FeatureObservation]] | FeatureColumns) -> FeatureColumns:
@@ -658,9 +670,13 @@ def _gauss_newton_step(
     Each frame at ``t`` contributes its residuals linearized at the current
     pose, i.e. the Gauss-Newton step from there, with information ``info``
     (F, 6, 6), damped by ``lam`` on its diagonal, and data gradient ``grad``
-    (F, 6) on its positions.
+    (F, 6) on its positions. The band is solved by LAPACK's ``dpbsv``, the
+    routine behind :func:`scipy.linalg.solveh_banded`, without its copy for
+    the finiteness check. The prior's band is tiled afresh for each step: a
+    band kept for the whole run and copied per step holds two bands at once,
+    and copying costs as much as tiling.
     """
-    from scipy.linalg import solveh_banded
+    from scipy.linalg.lapack import dpbsv
     T = len(z)
     # The prior's gradient, from the jerk increments rather than from the
     # precision times z, whose terms nearly cancel.
@@ -675,7 +691,10 @@ def _gauss_newton_step(
     # temporaries beside the band are (F,).
     for i, j in zip(*np.tril_indices(6)):
         ab[3 * (i - j), 18 * t + 3 * j] += info[:, i, j] + lam * _EYE6[i, j]
-    return solveh_banded(ab, rhs.ravel(), overwrite_ab=True, overwrite_b=True, lower=True).reshape(T, 18)
+    _, step, failed = dpbsv(ab, rhs.ravel(), lower=1, overwrite_ab=1, overwrite_b=1)
+    if failed:
+        raise np.linalg.LinAlgError(f"{failed}th leading minor not positive definite")
+    return step.reshape(T, 18)
 
 
 def track_sequence(

@@ -528,6 +528,40 @@ def test_banded_smoother_matches_rts_recursion():
     npt.assert_allclose(banded, np.array(xs), rtol=1e-9, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "T, gaps, amplitude, omega", [(16, (5, 11), 3.0, 0.4), (9, (), 20.0, 0.5)], ids=["gappy", "short"]
+)
+def test_jerk_density_likelihood_matches_dense_computation(T, gaps, amplitude, omega):
+    # Each density's negative log-likelihood against the dense normal
+    # equations: the misfit at their solution plus slogdet. Below about 1e-4
+    # the dense system is itself too ill-conditioned to compare, but the
+    # chosen density must be the dense one. On the short run the shortcut
+    # y^T R^-1 y - |L^-1 b|^2 picks the grid's smallest density instead.
+    from swaykin.pose import _JERK_DENSITIES, _JERK_F, _JERK_Q, _jerk_density, _jerk_nll
+
+    rng = np.random.default_rng(41)
+    t = np.array([i for i in range(T) if i not in gaps])
+    var = rng.uniform(0.5, 2.0, len(t))
+    y = amplitude * np.sin(omega * t) + rng.normal(0.0, np.sqrt(var))
+    D = np.zeros((3 * (T - 1), 3 * T))  # jerk increments z[k+1] - F z[k]
+    for k in range(T - 1):
+        D[3 * k : 3 * k + 3, 3 * k : 3 * k + 3] = -_JERK_F
+        D[3 * k : 3 * k + 3, 3 * k + 3 : 3 * k + 6] = np.eye(3)
+    prior = D.T @ np.kron(np.eye(T - 1), np.linalg.inv(_JERK_Q)) @ D
+    H = np.zeros((len(t), 3 * T))
+    H[np.arange(len(t)), 3 * t] = 1.0
+    dense = []
+    for density in _JERK_DENSITIES:
+        A = prior / density + H.T @ (H / var[:, None])
+        z = np.linalg.solve(A, H.T @ (y / var))
+        misfit = np.sum((y - H @ z) ** 2 / var) + z @ prior @ z / density
+        dense.append(misfit + np.linalg.slogdet(A)[1] + 3 * (T - 1) * np.log(density))
+    nll = _jerk_nll(t, y, var, T)
+    conditioned = _JERK_DENSITIES >= 1e-4
+    npt.assert_allclose(nll[conditioned], np.array(dense)[conditioned], rtol=1e-8)
+    assert _jerk_density(t, y, var, T) == _JERK_DENSITIES[np.argmin(dense)] > _JERK_DENSITIES[0]
+
+
 def _noisy_frames(n, seed, sigma=0.2):
     rng = np.random.default_rng(seed)
     frames, truth = [], []
