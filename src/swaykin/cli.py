@@ -528,7 +528,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                         direction, label, len(a), len(b),
                     )
                     continue
-                d = metrics.cohens_d(np.array(list(a.values())), np.array(list(b.values())))
+                try:
+                    d = metrics.cohens_d(np.array(list(a.values())), np.array(list(b.values())))
+                except ValueError as e:
+                    logger.warning("%s/%s: %s", direction, label, e)
+                    continue
                 cells.append((direction, label, d, len(a), len(b)))
         fileio.save_cohens_d_csv(out / "cohens_d.csv", cells)
         print(f"effect sizes -> {out / 'cohens_d.csv'}")

@@ -633,6 +633,26 @@ def test_analyze_compare_writes_cohens_d_csv_bytes(tmp_path):
     assert (out / "cohens_d.csv").read_bytes() == "".join(f"{r}\r\n" for r in ["direction,bin,d,n_a,n_b", *rows]).encode()
 
 
+def test_analyze_compare_skips_a_cell_whose_pooled_sd_is_zero(tmp_path, caplog):
+    # SI never moves, so every SI path length is 0 in both conditions: those
+    # cells are skipped with one warning each, and the others are written.
+    dirs = {}
+    for cond, steps in (("a", (1.0, 7.0)), ("b", (1.0, 9.0))):
+        dirs[cond] = tmp_path / cond
+        dirs[cond].mkdir()
+        for k, step in enumerate(steps):
+            x = step * np.arange(6)
+            _write_traj(dirs[cond] / f"trajectory_p{k}.csv", x, ml=x, si=np.zeros(6), rate=2.0, label=f"p{k}")
+    out = tmp_path / "out"
+    rc = main(["analyze", "--traj", str(dirs["a"]), "--compare", str(dirs["b"]), "--bins", "0,1,2,3", "--out", str(out)])
+    assert rc == 0
+    lines = (out / "cohens_d.csv").read_text().splitlines()
+    assert {line.split(",")[0] for line in lines[1:]} == {"AP", "APML", "APSI", "ML", "MLSI"}
+    assert len(lines) == 1 + 5 * 3
+    zero = [r.getMessage() for r in caplog.records if "pooled standard deviation is zero" in r.getMessage()]
+    assert [m.split(":")[0] for m in zero] == ["SI/early", "SI/mid", "SI/late"]
+
+
 def test_analyze_rejects_bad_bins(tmp_path):
     tdir = tmp_path / "traj"
     tdir.mkdir()
