@@ -94,13 +94,14 @@ class KinematicParams:
 
 def _rotation(angles: np.ndarray) -> np.ndarray:
     """Rotation matrices Rz(t1) Ry(t2) Rx(t3) for Euler angles of shape (..., 3).
-    A single pose takes its sines and cosines on floats, which costs far less
-    than array functions on three numbers."""
-    if angles.ndim == 1:
-        t = angles.tolist()
+    A single pose, alone or in a stack of one, takes its sines and cosines on
+    floats, which costs far less than array functions on three numbers."""
+    if angles.size == 3:
+        t = angles.ravel().tolist()
         (c1, c2, c3), (s1, s2, s3) = map(math.cos, t), map(math.sin, t)
     else:
-        (c1, c2, c3), (s1, s2, s3) = np.moveaxis(np.cos(angles), -1, 0), np.moveaxis(np.sin(angles), -1, 0)
+        c, s = np.cos(angles), np.sin(angles)
+        c1, c2, c3, s1, s2, s3 = c[..., 0], c[..., 1], c[..., 2], s[..., 0], s[..., 1], s[..., 2]
     R = np.array([
         c1 * c2, c1 * s2 * s3 - s1 * c3, c1 * s2 * c3 + s1 * s3,
         s1 * c2, s1 * s2 * s3 + c1 * c3, s1 * s2 * c3 - c1 * s3,
@@ -180,34 +181,30 @@ class PoseTrack:
         return np.arange(self.n_frames) / self.rate_hz
 
 
-# q @ _CROSS, reshaped to (..., 3, 3), is the matrix [q]x^T: v @ it = q x v.
-_CROSS = np.cross(np.eye(3)[:, None], np.eye(3)).reshape(3, 9)
-# Poses per block of _jacobian_from's rotation columns: about 160 kB of
-# temporaries for 15 features.
-_JACOBIAN_BLOCK = 64
-
-
 def _project(
     th: np.ndarray, points: np.ndarray, obs_uv: np.ndarray, intrinsics: camera.CameraIntrinsics
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Residuals (..., 2m) of poses th (..., 6) against matched target points
     (..., m, 3) observed at obs_uv (..., m, 2), leading axes broadcasting,
     and the state that :func:`_jacobian_from` takes: R, q = R p, 1/z and K n
-    for the normalized coordinates n."""
+    for the normalized coordinates n. Raises :class:`BehindCameraError`,
+    naming the feature, when a point is not in front of the camera."""
     R = _rotation(th[..., :3])
-    return _project_rotated(th, R, points @ R.swapaxes(-1, -2), obs_uv, intrinsics)
+    q = points @ R.swapaxes(-1, -2)
+    z = q[..., 2] + th[..., None, 5]
+    if z.min() <= camera.MIN_DEPTH_MM:
+        bad = int(np.argmax((z <= camera.MIN_DEPTH_MM).ravel())) % z.shape[-1]
+        raise camera.BehindCameraError(f"feature {bad} transformed behind the camera")
+    return _project_rotated(th, R, q, obs_uv, intrinsics)
 
 
 def _project_rotated(
     th: np.ndarray, R: np.ndarray, q: np.ndarray, obs_uv: np.ndarray, intrinsics: camera.CameraIntrinsics
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """:func:`_project` from the rotations R (..., 3, 3) of the poses and the
-    target points q = R p (..., m, 3) they rotate."""
+    target points q = R p (..., m, 3) they rotate, without the depth check."""
     pc = q + th[..., None, 3:]
     z = pc[..., 2]
-    if z.min() <= camera.MIN_DEPTH_MM:
-        bad = int(np.argmax((z <= camera.MIN_DEPTH_MM).ravel())) % z.shape[-1]
-        raise camera.BehindCameraError(f"feature {bad} transformed behind the camera")
     Kn = (pc[..., :2] / z[..., None]) @ np.array([[intrinsics.fx, 0.0], [intrinsics.skew, intrinsics.fy]])
     r = Kn + (np.array([intrinsics.x0, intrinsics.y0]) - obs_uv)
     return r.reshape(r.shape[:-2] + (-1,)), (R, q, 1.0 / z, Kn)
@@ -223,11 +220,9 @@ def _jacobian_from(
     with the identity, so its columns are P. For Z-Y-X Euler angles
     d(R p)/d theta_k = w_k x q, with w_1 = e_z, w_2 = Rz e_y and w_3 = Rz Ry
     e_x, the first column of R; by the scalar triple product each row p of P
-    gives p . (w_k x q) = w_k . (q x p), so the rotation columns are
-    P [q]x^T W^T with the w_k as the rows of W. They are written into J
-    ``_JACOBIAN_BLOCK`` poses at a time, so that beside J only a block's
-    [q]x^T and products are held; each block's arithmetic is that of the
-    whole stack.
+    gives p . (w_k x q) = w_k . (q x p), so the rotation columns are the
+    components of q x p along the w_k. Each component of q x p is added to
+    them in turn, so that the temporaries beside J are a few (..., m, 2).
     """
     R, q, inv_z, Kn = state
     # P goes in the translation columns, then the rotation columns are built from it.
@@ -235,16 +230,18 @@ def _jacobian_from(
     J[..., 0, 3], J[..., 0, 4], J[..., 1, 4] = intrinsics.fx, intrinsics.skew, intrinsics.fy
     J[..., 5] = -Kn
     J[..., 3:] *= inv_z[..., None, None]
-    W = np.zeros(R.shape)
-    W[..., 0, 2] = 1.0
-    W[..., 1, 0], W[..., 1, 1] = -np.sin(th[..., 0]), np.cos(th[..., 0])
-    W[..., 2, :] = R[..., 0]
-    # One pose is a block of one.
-    Jb, qb, Wb = (J, q, W) if th.ndim > 1 else (J[None], q[None], W[None])
-    for a in range(0, len(Jb), _JACOBIAN_BLOCK):
-        Ja, qa = Jb[a : a + _JACOBIAN_BLOCK], qb[a : a + _JACOBIAN_BLOCK]
-        qx = (qa @ _CROSS).reshape(qa.shape + (3,))
-        Ja[..., :3] = Ja[..., 3:] @ qx @ Wb[a : a + _JACOBIAN_BLOCK, None].swapaxes(-1, -2)
+    px, py, pz = J[..., 3], J[..., 4], J[..., 5]
+    qx, qy, qz = q[..., 0, None], q[..., 1, None], q[..., 2, None]
+    sin1, cos1 = np.sin(th[..., 0, None, None]), np.cos(th[..., 0, None, None])
+    w3 = R[..., 0]  # the first column of R
+    c = qy * pz - qz * py
+    J[..., 1], J[..., 2] = -sin1 * c, c * w3[..., 0, None, None]
+    c = qz * px - qx * pz
+    J[..., 1] += cos1 * c
+    J[..., 2] += c * w3[..., 1, None, None]
+    c = qx * py - qy * px
+    J[..., 0] = c
+    J[..., 2] += c * w3[..., 2, None, None]
     return J.reshape(J.shape[:-3] + (-1, 6))
 
 
@@ -278,79 +275,158 @@ def _jacobian(
 
 def _levenberg_marquardt(
     x: np.ndarray, trial: Callable, linearize: Callable, solve: Callable, max_iterations: int
-) -> tuple[np.ndarray, tuple, int, bool]:
-    """The Levenberg-Marquardt loop of both pose solvers, from ``x``.
+) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """The Levenberg-Marquardt loop of every pose solver, run in lock-step
+    over a stack of independent problems ``x`` (P, ...), each with its own
+    damping.
 
-    ``trial(x)`` returns the cost at ``x`` and what the solver keeps of that
-    projection; ``linearize(cost, kept)`` returns the normal equations' matrix
-    (..., 6, 6) and gradient there, or None when the solver's own stopping
-    rule fires; ``solve(x, A, g, lam)`` returns the step for the damped
-    matrix A + lam I.
-    Damping adds lambda I to the matrix. It starts at 1e-3, falls tenfold on
-    an accepted step and rises tenfold on a refused one, which is retried
-    from the same linearization. A step is refused if it does not lower the
-    cost, crosses the gimbal guard, puts a feature behind the camera or meets
-    a singular system. The loop has converged when an accepted step lowers
-    the cost by at most 1e-6 of its value; it stops unconverged after
-    ``max_iterations`` or once damping reaches 1e12. Returns the final ``x``,
-    its trial's kept state, the number of iterations and whether it
-    converged.
+    ``trial(x, rows)`` returns the costs (n,) of problems ``rows`` (n,) at
+    ``x`` (n, ...), inf where it refuses one, and what the solver keeps of
+    that projection: a tuple of arrays with one leading row per problem.
+    ``trial`` may instead raise :class:`GimbalLockError` or
+    :class:`BehindCameraError`, refusing every candidate it was given; at the
+    start the error propagates. ``linearize(cost, kept, rows)`` returns the
+    normal equations' matrices and gradients of those problems, and a mask
+    (n,) of the problems whose own stopping rule fired there. ``solve(x, A, g, lam)`` returns the steps
+    for the damped matrices A + lam I, with NaN for a singular one, or raises
+    ``LinAlgError`` for all of them.
+
+    Damping adds lambda I to a problem's matrix. It starts at 1e-3, falls
+    tenfold on an accepted step and rises tenfold on a refused one, which is
+    retried from the same linearization. A step is refused if it does not
+    lower the cost, crosses the gimbal guard, puts a feature behind the
+    camera or meets a singular system; a refusal raises only its own
+    problem's damping. A problem has converged when an accepted step lowers
+    its cost by at most 1e-6 of its value; it stops unconverged after
+    ``max_iterations`` or once its damping reaches 1e12. Each round
+    linearizes the problems that have just accepted a step and tries one step
+    of every problem still running, so a problem takes the steps it would
+    take alone. A problem whose start is refused is not iterated. Returns the
+    final ``x``, their trials' kept state, and per problem the number of
+    iterations, whether it converged and its final cost (inf where the start
+    was refused).
     """
-    cost, kept = trial(x)
-    lam, iterations, converged = _INIT_LAMBDA, 0, False
-    while not converged and iterations < max_iterations:
-        system = linearize(cost, kept)
-        if system is None:
-            return x, kept, iterations, True
-        iterations += 1
-        A, g = system
-        while lam < 1e12:
+    P = len(x)
+    x = x.copy()
+    cost, kept = trial(x, np.arange(P))
+    lam = np.full(P, _INIT_LAMBDA)
+    iterations = np.zeros(P, dtype=int)
+    converged = np.zeros(P, dtype=bool)
+    # Problems at a pose not yet linearized, and problems with a
+    # linearization to step from.
+    fresh, stepping = np.isfinite(cost), np.zeros(P, dtype=bool)
+    A = g = None
+    while True:
+        fresh &= iterations < max_iterations
+        if fresh.any():
+            rows = np.flatnonzero(fresh)
+            A_new, g_new, converged[rows] = linearize(cost[rows], _take(kept, rows, P), rows)
+            if len(rows) == P:
+                A, g = A_new, g_new
+            else:
+                if A is None:
+                    A, g = np.empty((P,) + A_new.shape[1:]), np.empty((P,) + g_new.shape[1:])
+                A[rows], g[rows] = A_new, g_new
+            fresh[rows] = ~converged[rows]
+            iterations += fresh
+            stepping |= fresh
+            fresh[:] = False
+        if not stepping.any():
+            return x, kept, iterations, converged, cost
+        rows = np.flatnonzero(stepping)
+        x_rows = _take(x, rows, P)
+        try:
+            cand = x_rows + solve(x_rows, _take(A, rows, P), _take(g, rows, P), lam[rows])
+        except np.linalg.LinAlgError:
+            cand = np.full(x_rows.shape, np.nan)
+        finite = np.isfinite(cand.reshape(len(rows), -1)).all(axis=1)
+        cost_new = np.full(len(rows), np.inf)
+        if finite.any():
             try:
-                cand = x + solve(x, A, g, lam)
-                cost_new, kept_new = trial(cand)
-            except (np.linalg.LinAlgError, GimbalLockError, camera.BehindCameraError):
-                cost_new = math.inf
-            if cost_new < cost:
-                break
-            lam *= _LAMBDA_FACTOR
-        else:
-            break
-        converged = cost - cost_new <= _COST_TOL * cost
-        x, cost, kept, lam = cand, cost_new, kept_new, lam / _LAMBDA_FACTOR
-    return x, kept, iterations, converged
+                cost_new[finite], kept_new = trial(cand[finite], rows[finite])
+            except (GimbalLockError, camera.BehindCameraError):
+                pass
+        better = cost_new < cost[rows]
+        lam[rows] = np.where(better, lam[rows] / _LAMBDA_FACTOR, lam[rows] * _LAMBDA_FACTOR)
+        stepping[rows] = ~better & (lam[rows] < 1e12)
+        if better.any():
+            # The accepted steps, and the rows of the trial's kept state that took them.
+            acc, at = rows[better], better[finite]
+            converged[acc] = cost[acc] - cost_new[better] <= _COST_TOL * cost[acc]
+            x[acc], cost[acc] = cand[better], cost_new[better]
+            if len(acc) == P:
+                kept = kept_new
+            else:
+                for k, k_new in zip(kept, kept_new):
+                    k[acc] = k_new[at]
+            fresh[acc] = ~converged[acc]
+
+
+def _take(a: np.ndarray | tuple, rows: np.ndarray, n: int):
+    """Rows ``rows`` of the array ``a``, or of each array of the tuple ``a``,
+    of ``n`` rows; all of them without a copy."""
+    if len(rows) == n:
+        return a
+    return tuple(k[rows] for k in a) if isinstance(a, tuple) else a[rows]
 
 
 def _fit(
-    th: np.ndarray, points: np.ndarray, obs_uv: np.ndarray, intrinsics: camera.CameraIntrinsics,
-    max_iterations: int,
-) -> tuple[np.ndarray, int, bool]:
-    """:func:`fit_pose`'s fit from pose ``th`` (6,) of target points (m, 3)
-    observed at ``obs_uv`` (m, 2): the final pose, the number of iterations
-    and whether a stopping rule fired."""
-    floor = len(points) * _NOISE_FREE_PX**2
+    th: np.ndarray, points: np.ndarray, obs_uv: np.ndarray, mask: np.ndarray,
+    intrinsics: camera.CameraIntrinsics, max_iterations: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`fit_pose`'s fits, in lock-step, of F frames from poses ``th``
+    (F, 6): target points (F, m, 3) observed at ``obs_uv`` (F, m, 2), with
+    the residual mask (F, 2m) of :func:`_stack_observations`. Returns the
+    final poses, the numbers of iterations, whether a stopping rule fired and
+    whether each fit could start: a start past the gimbal guard or with a
+    feature behind the camera is refused, and its frame is not fitted."""
+    floor = np.sum(mask, axis=1) / 2 * _NOISE_FREE_PX**2
 
-    def trial(th: np.ndarray) -> tuple[float, tuple]:
-        if abs(th[1]) >= math.pi / 2 - GIMBAL_MARGIN:
-            raise GimbalLockError("a pose crosses the gimbal guard")
-        r, state = _project(th, points, obs_uv, intrinsics)
-        cost = float(r @ r)
-        if not math.isfinite(cost):
-            raise ValueError("the reprojection objective is not finite")
-        return cost, (th, r, state)
+    def trial(th: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
+        n = len(points)
+        pts, uv, msk = _take(points, rows, n), _take(obs_uv, rows, n), _take(mask, rows, n)
+        R = _rotation(th[:, :3])
+        q = pts @ R.swapaxes(-1, -2)
+        refused = np.abs(th[:, 1]) >= math.pi / 2 - GIMBAL_MARGIN
+        refused |= np.any((q[..., 2] + th[:, 5:] <= camera.MIN_DEPTH_MM) & msk[:, ::2], axis=1)
+        if refused.any():
+            # Rows behind the camera may divide by zero; they are refused.
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                r, state = _project_rotated(th, R, q, uv, intrinsics)
+        else:
+            r, state = _project_rotated(th, R, q, uv, intrinsics)
+        r *= msk
+        cost = np.einsum("fi,fi->f", r, r)
+        cost[refused | ~np.isfinite(cost)] = np.inf
+        return cost, (th, r, *state)
 
-    def linearize(cost: float, kept: tuple) -> tuple[np.ndarray, np.ndarray] | None:
-        th, r, state = kept
-        J = _jacobian_from(th, state, intrinsics)
-        JtJ, g = J.T @ J, J.T @ r
+    def linearize(cost: np.ndarray, kept: tuple, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        th, r, *state = kept
+        J = _jacobian_from(th, tuple(state), intrinsics)
+        J *= _take(mask, rows, len(mask))[..., None]
+        JtJ, g = J.swapaxes(1, 2) @ J, np.einsum("fmi,fm->fi", J, r)
         # A zero column has a zero gradient, which meets the rule.
-        if cost <= floor or (np.abs(g) <= _GRADIENT_TOL * math.sqrt(cost) * np.sqrt(JtJ.diagonal())).all():
-            return None
-        return JtJ, g
+        scaled = _GRADIENT_TOL * np.sqrt(cost)[:, None] * np.sqrt(np.diagonal(JtJ, axis1=1, axis2=2))
+        return JtJ, g, (cost <= floor[rows]) | np.all(np.abs(g) <= scaled, axis=1)
 
-    th, _, iterations, converged = _levenberg_marquardt(
-        th, trial, linearize, lambda th, A, g, lam: np.linalg.solve(A + lam * _EYE6, -g), max_iterations
-    )
-    return th, iterations, converged
+    th, _, iterations, converged, cost = _levenberg_marquardt(th, trial, linearize, _damped_solve, max_iterations)
+    return th, iterations, converged, np.isfinite(cost)
+
+
+def _damped_solve(x: np.ndarray, A: np.ndarray, g: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Steps (n, 6) that solve (A + lam I) step = -g for each of n problems;
+    a singular system's step is NaN."""
+    A = A + lam[:, None, None] * _EYE6
+    try:
+        return np.linalg.solve(A, -g[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        step = np.full(g.shape, np.nan)
+        for k in range(len(g)):
+            try:
+                step[k] = np.linalg.solve(A[k], -g[k])
+            except np.linalg.LinAlgError:
+                pass
+        return step
 
 
 def _evaluate(r: np.ndarray, J: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -382,19 +458,22 @@ def fit_pose(
     value serves radians and millimeters alike (Madsen, Nielsen & Tingleff,
     *Methods for Non-Linear Least Squares Problems*, 2004). The report,
     evaluated at the returned pose, flags ``degenerate`` when the Jacobian
-    has rank < 6, and carries diag((J^T J)^-1) as a covariance proxy.
+    has rank < 6, and carries diag((J^T J)^-1) as a covariance proxy. Raises
+    :class:`BehindCameraError` when a feature is behind the camera at
+    ``init``.
     """
     if len(obs) < MIN_OBSERVATIONS:
         raise InsufficientCorrespondenceError(
             f"{len(obs)} observation(s); pose fitting needs at least {MIN_OBSERVATIONS}"
         )
-    points, uv, mask = stack = _stack_observations(model, [obs])
-    th, iterations, converged = _fit(init.as_array(), points[0], uv[0], intrinsics, max_iterations)
-    rms, cov, degenerate = _evaluate(*_linearize(th[None], stack, intrinsics), mask)
+    stack = _stack_observations(model, [obs])
+    th, iterations, converged, _ = _fit(init.as_array()[None], *stack, intrinsics, max_iterations)
+    rms, cov, degenerate = _evaluate(*_linearize(th, stack, intrinsics), stack[2])
     if degenerate[0]:
-        logger.warning("pose Jacobian is rank deficient at theta %s", th)
+        logger.warning("pose Jacobian is rank deficient at theta %s", th[0])
     return FitReport(
-        KinematicParams.from_array(th), float(rms[0]), iterations, converged, cov[0], bool(degenerate[0])
+        KinematicParams.from_array(th[0]), float(rms[0]), int(iterations[0]), bool(converged[0]), cov[0],
+        bool(degenerate[0]),
     )
 
 
@@ -627,17 +706,19 @@ def _smooth_poses(
     )
     F, G = _jerk_matrices(1.0 / density)
 
-    def trial(z: np.ndarray) -> tuple[float, tuple]:
+    def trial(z: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
         # Half the squared residuals plus half w^T G w over the jerk
         # increments w, with the poses and rotated points it took; raises
-        # past the gimbal guard or behind the camera.
+        # past the gimbal guard or behind the camera. The run is a stack of
+        # one problem.
+        z = z[0]
         th = mean + scale * z[t, ::3]
         if np.any(np.abs(th[:, 1]) >= math.pi / 2 - GIMBAL_MARGIN):
             raise GimbalLockError("a smoothed pose crosses the gimbal guard")
         r, state = _project(th, points, uv, intrinsics)
         r *= mask
         w = z[1:] - z[:-1] @ F.T
-        return 0.5 * float(np.sum(r**2) + np.einsum("ti,ij,tj->", w, G, w)), (th, state[1])
+        return np.array([0.5 * float(np.sum(r**2) + np.einsum("ti,ij,tj->", w, G, w))]), (th[None], state[1][None])
 
     def linearized(th: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # The rest of a trial's projection, rebuilt from its rotated points
@@ -645,20 +726,23 @@ def _smooth_poses(
         r, state = _project_rotated(th, _rotation(th[:, :3]), q, uv, intrinsics)
         return _masked(th, r, state, mask, intrinsics)
 
-    def linearize(cost: float, kept: tuple) -> tuple[np.ndarray, np.ndarray]:
+    def linearize(cost: np.ndarray, kept: tuple, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # The steps need only J^T J and J^T r; on a long run r and J are
         # large, and they are dropped on return.
-        r, J = linearized(*kept)
-        return np.swapaxes(J, 1, 2) @ J * scale[:, None] * scale, np.einsum("fmi,fm->fi", J, r) * scale
+        r, J = linearized(kept[0][0], kept[1][0])
+        A, g = np.swapaxes(J, 1, 2) @ J * scale[:, None] * scale, np.einsum("fmi,fm->fi", J, r) * scale
+        return A[None], g[None], np.zeros(1, dtype=bool)
+
+    def solve(z: np.ndarray, A: np.ndarray, g: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        return _gauss_newton_step(z[0], t, F, G, A[0], lam[0], g[0])[None]
 
     # State per frame: each parameter's scaled position, velocity and
     # acceleration. Each pass solves for the increment, so rounding scales
     # with the step.
     z = np.zeros((T, 18))
     z[t, ::3] = xi
-    _, (th, q), passes, settled = _levenberg_marquardt(
-        z, trial, linearize, lambda z, A, g, lam: _gauss_newton_step(z, t, F, G, A, lam, g), _SMOOTHER_MAX_PASSES
-    )
+    _, (th, q), passes, settled, _ = _levenberg_marquardt(z[None], trial, linearize, solve, _SMOOTHER_MAX_PASSES)
+    th, q, passes, settled = th[0], q[0], int(passes[0]), bool(settled[0])
     return (th, *linearized(th, q), passes, settled)
 
 
@@ -695,6 +779,89 @@ def _gauss_newton_step(
     if failed:
         raise np.linalg.LinAlgError(f"{failed}th leading minor not positive definite")
     return step.reshape(T, 18)
+
+
+# Frames per block of track_sequence's lock-step passes, which bounds their
+# memory whatever the run's length.
+_FIT_BLOCK = 512
+# Two fits of a frame are one minimum when the Gauss-Newton cost of the step
+# between them is at most this multiple of _COST_TOL times the frame's cost:
+# a few times what the cost-decrease rule leaves of it.
+_SAME_MINIMUM = 10.0
+
+
+def _fit_blocks(
+    starts: np.ndarray, run: np.ndarray, stack: tuple[np.ndarray, np.ndarray, np.ndarray],
+    intrinsics: camera.CameraIntrinsics,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_fit` of the frames ``run`` (n,) of ``stack`` from poses
+    ``starts`` (n, 6), ``_FIT_BLOCK`` frames at a time."""
+    out = (np.empty((len(run), 6)), np.empty(len(run), dtype=int), np.empty(len(run), dtype=bool),
+           np.empty(len(run), dtype=bool))
+    for a in range(0, len(run), _FIT_BLOCK):
+        block = slice(a, a + _FIT_BLOCK)
+        fits = _fit(starts[block], *(x[run[block]] for x in stack), intrinsics, 100)
+        for o, fit in zip(out, fits):
+            o[block] = fit
+    return out
+
+
+def _one_minimum(
+    a: np.ndarray, b: np.ndarray, run: np.ndarray, stack: tuple[np.ndarray, np.ndarray, np.ndarray],
+    intrinsics: camera.CameraIntrinsics,
+) -> np.ndarray:
+    """Whether poses ``a`` and ``b`` (n, 6) of the frames ``run`` (n,) of
+    ``stack`` are one minimum of each frame's cost (see ``_SAME_MINIMUM``),
+    from the Gauss-Newton model at ``a``. The test is scale-free: it weighs
+    the step by the frame's own information, in units of its own cost."""
+    same = np.empty(len(run), dtype=bool)
+    for s in range(0, len(run), _FIT_BLOCK):
+        block = slice(s, s + _FIT_BLOCK)
+        points, uv, mask = (x[run[block]] for x in stack)
+        th = a[block]
+        R = _rotation(th[:, :3])
+        r, J = _masked(th, *_project_rotated(th, R, points @ R.swapaxes(-1, -2), uv, intrinsics), mask, intrinsics)
+        step = J @ (b[block] - th)[..., None]
+        same[block] = np.sum(step[..., 0] ** 2, axis=1) <= _SAME_MINIMUM * _COST_TOL * np.sum(r**2, axis=1)
+    return same
+
+
+def _chain_fits(
+    start: np.ndarray, run: np.ndarray, stack: tuple[np.ndarray, np.ndarray, np.ndarray],
+    intrinsics: camera.CameraIntrinsics,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The warm-started chain's fits of the frames ``run`` (n,) of ``stack``,
+    in lock-step: the first frame's from pose ``start``, and each later
+    frame's from the kept pose of the last fitted frame before it.
+
+    Pass 1 fits every frame from ``start``. Each later round refits, all at
+    once, every frame whose start is not the chain's start for it, until none
+    is left; the first round is pass 2, from the predecessors' pass-1 poses. A
+    frame whose fit and pass-1 fit converged to one minimum keeps its pass-1
+    pose, from which its successor's pass-2 fit started, so a round refits
+    only the frames after one whose minimum differs from pass 1's: on sparse
+    frames, the other branch of the planar pose ambiguity. The first frame
+    that a round refits starts from its predecessor's final pose, so each
+    round settles at least one more frame, and each fit is the one that a
+    sequential loop makes from the same start. Returns per frame the kept
+    pose, the iterations and convergence of the fit from the chain's start,
+    and whether that start was accepted; a frame whose start is refused is a
+    gap, and the next starts from the last fitted frame.
+    """
+    n = len(run)
+    starts = np.broadcast_to(start, (n, 6)).copy()
+    first = _fit_blocks(starts, run, stack, intrinsics)
+    kept, iterations, converged, fitted = (x.copy() for x in first)
+    while True:
+        last = np.maximum.accumulate(np.where(fitted, np.arange(n), 0))
+        want = np.vstack([start, kept[last[:-1]]])
+        redo = np.flatnonzero(np.any(want != starts, axis=1))
+        if not len(redo):
+            return kept, iterations, converged, fitted
+        starts[redo] = want[redo]
+        th, iterations[redo], converged[redo], fitted[redo] = _fit_blocks(starts[redo], run[redo], stack, intrinsics)
+        alike = converged[redo] & first[2][redo] & _one_minimum(th, first[0][redo], run[redo], stack, intrinsics)
+        kept[redo] = np.where(alike[:, None], first[0][redo], th)
 
 
 def track_sequence(
@@ -748,26 +915,34 @@ def track_sequence(
     in one warning.
     """
     cols = _columns(frames)
-    points, uv, mask = _stack_observations(model, cols)
+    points, uv, mask = stack = _stack_observations(model, cols)
     sizes = np.bincount(cols.frame, minlength=cols.n_frames)
-    # Each frame's fit: its pose, iterations and whether it converged.
+    # Each frame's kept fit: its pose, iterations and whether it converged.
     poses = np.zeros((cols.n_frames, 6))
     iterations = np.zeros(cols.n_frames, dtype=int)
     converged = np.zeros(cols.n_frames, dtype=bool)
     fitted: list[int] = []
     failed: list[int] = []
-    for i in np.flatnonzero(sizes >= MIN_OBSERVATIONS).tolist():
-        n = sizes[i]
+    fittable = np.flatnonzero(sizes >= MIN_OBSERVATIONS).tolist()
+    # The chain starts at the first frame whose closed-form pose can start its
+    # fit; the frames before it are gaps.
+    while fittable:
+        i = fittable[0]
         try:
-            if fitted:
-                init = poses[fitted[-1]]
-            else:
-                init = initialize_first_frame(model, cols.observations(i), intrinsics).as_array()
-            poses[i], iterations[i], converged[i] = _fit(init, points[i, :n], uv[i, :n], intrinsics, 100)
-            fitted.append(i)
+            start = initialize_first_frame(model, cols.observations(i), intrinsics).as_array()
+            if _fit(start[None], points[i : i + 1], uv[i : i + 1], mask[i : i + 1], intrinsics, 0)[3][0]:
+                break
+            logger.debug("frame %d: its start is refused; marking gap", i)
         except (GimbalLockError, camera.DegenerateGeometryError, camera.BehindCameraError) as e:
             logger.debug("frame %d: %s; marking gap", i, e)
-            failed.append(i)
+        failed.append(fittable.pop(0))
+    if fittable:
+        run = np.array(fittable)
+        kept, its, conv, ok = _chain_fits(start, run, stack, intrinsics)
+        poses[run], iterations[run], converged[run] = kept, its, conv
+        fitted = run[ok].tolist()
+        failed += run[~ok].tolist()
+    failed.sort()
     if failed:
         logger.warning(
             "%d of %d frames could not be fitted and are gaps: %s",
