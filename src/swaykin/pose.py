@@ -3,14 +3,16 @@
 The kinematic state is six parameters: three Z-Y-X Euler angles (radians)
 followed by three camera-frame translations (millimeters). Each frame is
 fitted by a damped Levenberg-Marquardt loop on its reprojection residuals,
-warm-started from the previous frame. :func:`track_sequence` then smooths
-the whole run with an iterated Rauch-Tung-Striebel smoother under a
+warm-started from the previous frame. :func:`track_sequence` fits a run's
+frames in lock-step and settles them against that warm-started chain, then
+smooths the whole run with an iterated Rauch-Tung-Striebel smoother under a
 white-jerk prior on each parameter, so the poses it reports use every frame's
-information, not only their own. Both solvers run one Levenberg-Marquardt
-loop, :func:`_levenberg_marquardt`, and project each trial once: the
-closed-form Jacobian, by the scalar triple product, is built from that
-projection when the trial is accepted, and the reports are evaluated from the
-last one.
+information, not only their own. Every solver runs one Levenberg-Marquardt
+loop, :func:`_levenberg_marquardt`, over a stack of independent problems
+with one damping each (the smoother is a stack of one), and projects each
+trial once: the closed-form Jacobian, by the scalar triple product, is built
+from that projection when the trial is accepted, and the reports are
+evaluated from the last one.
 """
 from __future__ import annotations
 
@@ -588,18 +590,20 @@ def _jerk_nll(t: np.ndarray, y: np.ndarray, var: np.ndarray, T: int) -> np.ndarr
     from scipy.linalg.lapack import dpbtrf, dpbtrs
     F, G = _jerk_matrices(np.ones(1))
     prior = _jerk_banded(T, F, G)
+    at, weight = 3 * t, 1.0 / var
     rhs = np.zeros(3 * T)
-    rhs[3 * t] = y / var
+    rhs[at] = y * weight
     nll = np.empty(len(_JERK_DENSITIES))
     for k, density in enumerate(_JERK_DENSITIES):
         ab = prior / density
-        ab[0, 3 * t] += 1.0 / var
+        ab[0, at] += weight
         chol, info = dpbtrf(ab, lower=1, overwrite_ab=1)
         if info:
             raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
-        z = dpbtrs(chol, rhs, lower=1)[0].reshape(T, 3)
-        w = z[1:] - z[:-1] @ F.T
-        misfit = np.sum((y - z[t, 0]) ** 2 / var) + np.einsum("ti,ij,tj->", w, G, w) / density
+        z = dpbtrs(chol, rhs, lower=1)[0]
+        e = y - z[at]
+        w = z[3:].reshape(-1, 3) - z[:-3].reshape(-1, 3) @ F.T
+        misfit = e @ (e * weight) + np.vdot(w @ G, w) / density
         nll[k] = misfit + 2.0 * np.sum(np.log(chol[0])) + 3 * (T - 1) * np.log(density)
     return nll
 
@@ -783,7 +787,7 @@ def _gauss_newton_step(
 
 # Frames per block of track_sequence's lock-step passes, which bounds their
 # memory whatever the run's length.
-_FIT_BLOCK = 512
+_FIT_BLOCK = 1024
 # Two fits of a frame are one minimum when the Gauss-Newton cost of the step
 # between them is at most this multiple of _COST_TOL times the frame's cost:
 # a few times what the cost-decrease rule leaves of it.
@@ -872,9 +876,14 @@ def track_sequence(
 ) -> PoseTrack:
     """Fit every frame of a sequence, then smooth the poses over the run.
 
-    The first fittable frame is initialized closed-form; each later frame
-    starts from the most recent fit. Frames with fewer than 4 matched
-    observations (or where initialization or fitting fails) get status
+    The per-frame fits are those of a warm-started chain: the first
+    fittable frame starts from its closed-form pose, and each later frame
+    from the kept pose of the last fitted frame before it. They are computed
+    in lock-step by :func:`_chain_fits`: one pass over every frame from the
+    first frame's pose, then rounds that refit each frame whose start was not
+    its chain start. A frame keeps its pass-1 pose where its chain fit reached
+    the same minimum. Frames with fewer than 4 matched observations (or where
+    initialization fails, or whose chain start is refused) get status
     ``gap`` and no report, and stay gaps; the frames that fail are named in
     one warning. Raises :class:`TrackingError` if nothing fits. ``frames``
     are per-frame lists or the run's :class:`FeatureColumns`; the lists are
