@@ -567,12 +567,6 @@ def _jerk_banded(T: int, F: np.ndarray, G: np.ndarray) -> np.ndarray:
     return ab
 
 
-def _jerk_density(t: np.ndarray, y: np.ndarray, var: np.ndarray, T: int) -> float:
-    """Maximum-likelihood white-jerk density of one parameter's series: the
-    density of the grid with the least :func:`_jerk_nll`."""
-    return float(_JERK_DENSITIES[np.argmin(_jerk_nll(t, y, var, T))])
-
-
 def _jerk_nll(t: np.ndarray, y: np.ndarray, var: np.ndarray, T: int) -> np.ndarray:
     """Negative log diffuse likelihood, up to a constant, of each density of
     the grid for one parameter's series.
@@ -702,12 +696,9 @@ def _smooth_poses(
     mean = theta.mean(axis=0)
     xi = (theta - mean) / scale
     noise = math.sqrt(sigma2)
-    density = np.array(
-        [
-            _jerk_density(t[informative], xi[informative, k] / noise, var[:, k] / scale[k] ** 2, T)
-            for k in range(6)
-        ]
-    )
+    # Each parameter's maximum-likelihood density on the grid.
+    nll = [_jerk_nll(t[informative], xi[informative, k] / noise, var[:, k] / scale[k] ** 2, T) for k in range(6)]
+    density = _JERK_DENSITIES[np.argmin(nll, axis=1)]
     F, G = _jerk_matrices(1.0 / density)
 
     def trial(z: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
