@@ -917,10 +917,6 @@ def track_sequence(
     cols = _columns(frames)
     points, uv, mask = stack = _stack_observations(model, cols)
     sizes = np.bincount(cols.frame, minlength=cols.n_frames)
-    # Each frame's kept fit: its pose, iterations and whether it converged.
-    poses = np.zeros((cols.n_frames, 6))
-    iterations = np.zeros(cols.n_frames, dtype=int)
-    converged = np.zeros(cols.n_frames, dtype=bool)
     fitted: list[int] = []
     failed: list[int] = []
     fittable = np.flatnonzero(sizes >= MIN_OBSERVATIONS).tolist()
@@ -938,8 +934,9 @@ def track_sequence(
         failed.append(fittable.pop(0))
     if fittable:
         run = np.array(fittable)
-        kept, its, conv, ok = _chain_fits(start, run, stack, intrinsics)
-        poses[run], iterations[run], converged[run] = kept, its, conv
+        # Each fitted frame's kept pose, iterations and whether it converged.
+        theta, iterations, converged, ok = _chain_fits(start, run, stack, intrinsics)
+        theta, iterations, converged = theta[ok], iterations[ok], converged[ok]
         fitted = run[ok].tolist()
         failed += run[~ok].tolist()
     failed.sort()
@@ -955,7 +952,6 @@ def track_sequence(
     # rebound so that the run's stack is freed.
     pad = sizes[fitted].max()
     points, uv, mask = stack = points[fitted, :pad], uv[fitted, :pad], mask[fitted, : 2 * pad]
-    theta = poses[fitted]
     rms, cov, degenerate = _evaluate(*_linearize(theta, stack, intrinsics), stack[2])
     m = np.sum(stack[2], axis=1) / 2
     sigma2 = float(np.sum(rms**2 * m) / np.sum(2 * m - 6))
@@ -985,6 +981,6 @@ def track_sequence(
     for f, i in enumerate(fitted):
         th = KinematicParams.from_array(theta[f])
         reports[i] = FitReport(
-            th, float(rms[f]), int(iterations[i]), bool(converged[i]), cov[f], bool(degenerate[f])
+            th, float(rms[f]), int(iterations[f]), bool(converged[f]), cov[f], bool(degenerate[f])
         )
     return PoseTrack(rate_hz=rate_hz, reports=reports)
