@@ -16,8 +16,13 @@ evaluated from the last one.
 """
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -528,6 +533,45 @@ _JERK_DENSITIES = 10.0 ** np.arange(-12.0, 8.25, 0.5)
 _SMOOTHER_MAX_PASSES = 100
 
 
+@functools.cache
+def _lapack():
+    """scipy's compiled LAPACK module, ``scipy.linalg._flapack``, whose
+    ``dpbtrf``, ``dpbtrs`` and ``dpbsv`` are the very functions that
+    ``scipy.linalg.lapack`` exports.
+
+    Importing ``scipy.linalg`` imports the whole subpackage, which takes a
+    ``track`` process tens of times longer, and far more memory, than
+    loading the extension from its file. The loaded module is kept out of ``sys.modules``,
+    so that a later ``import scipy.linalg`` runs as it would have and its
+    own load of the extension returns these same functions. Where the file
+    cannot be found or loaded (another scipy layout, a platform that needs
+    scipy's own set-up to find its libraries), ``scipy.linalg.lapack`` is
+    imported instead.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    try:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None or not scipy.submodule_search_locations:
+            raise ImportError("scipy is not installed as a package")
+        directory = os.path.join(scipy.submodule_search_locations[0], "linalg")
+        paths = [os.path.join(directory, "_flapack" + s) for s in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is None:
+            raise ImportError(f"no _flapack extension in {directory}")
+        spec = importlib.util.spec_from_file_location(name, path)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        finally:
+            sys.modules.pop(name, None)
+        return module
+    except (ImportError, OSError):
+        from scipy.linalg import lapack
+        return lapack
+
+
 def _jerk_matrices(inv_density: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-frame transition F and process precision G of independent
     white-jerk parameters, one per entry of ``inv_density``. A frame's state
@@ -579,9 +623,10 @@ def _jerk_nll(t: np.ndarray, y: np.ndarray, var: np.ndarray, T: int) -> np.ndarr
     LAPACK. The misfit is evaluated at the solution: an error there raises it
     only at second order. The shortcut y^T R^-1 y - |L^-1 b|^2 cancels badly
     where a small density makes the system ill-conditioned, and on a short
-    run it can fall far below the misfit and win the grid.
+    run it can fall far below the misfit and win the grid. ``dpbtrf`` and
+    ``dpbtrs`` come from :func:`_lapack`.
     """
-    from scipy.linalg.lapack import dpbtrf, dpbtrs
+    lapack = _lapack()
     F, G = _jerk_matrices(np.ones(1))
     prior = _jerk_banded(T, F, G)
     at, weight = 3 * t, 1.0 / var
@@ -591,10 +636,10 @@ def _jerk_nll(t: np.ndarray, y: np.ndarray, var: np.ndarray, T: int) -> np.ndarr
     for k, density in enumerate(_JERK_DENSITIES):
         ab = prior / density
         ab[0, at] += weight
-        chol, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        chol, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
         if info:
             raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
-        z = dpbtrs(chol, rhs, lower=1)[0]
+        z = lapack.dpbtrs(chol, rhs, lower=1)[0]
         e = y - z[at]
         w = z[3:].reshape(-1, 3) - z[:-3].reshape(-1, 3) @ F.T
         misfit = e @ (e * weight) + np.vdot(w @ G, w) / density
@@ -750,12 +795,12 @@ def _gauss_newton_step(
     pose, i.e. the Gauss-Newton step from there, with information ``info``
     (F, 6, 6), damped by ``lam`` on its diagonal, and data gradient ``grad``
     (F, 6) on its positions. The band is solved by LAPACK's ``dpbsv``, the
-    routine behind :func:`scipy.linalg.solveh_banded`, without its copy for
-    the finiteness check. The prior's band is tiled afresh for each step: a
-    band kept for the whole run and copied per step holds two bands at once,
-    and copying costs as much as tiling.
+    routine behind :func:`scipy.linalg.solveh_banded`, taken from
+    :func:`_lapack`, without its copy for the finiteness check. The prior's
+    band is tiled afresh for each step: a band kept for the whole run and
+    copied per step holds two bands at once, and copying costs as much as
+    tiling.
     """
-    from scipy.linalg.lapack import dpbsv
     T = len(z)
     # The prior's gradient, from the jerk increments rather than from the
     # precision times z, whose terms nearly cancel.
@@ -770,7 +815,7 @@ def _gauss_newton_step(
     # temporaries beside the band are (F,).
     for i, j in zip(*np.tril_indices(6)):
         ab[3 * (i - j), 18 * t + 3 * j] += info[:, i, j] + lam * _EYE6[i, j]
-    _, step, failed = dpbsv(ab, rhs.ravel(), lower=1, overwrite_ab=1, overwrite_b=1)
+    _, step, failed = _lapack().dpbsv(ab, rhs.ravel(), lower=1, overwrite_ab=1, overwrite_b=1)
     if failed:
         raise np.linalg.LinAlgError(f"{failed}th leading minor not positive definite")
     return step.reshape(T, 18)

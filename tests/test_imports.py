@@ -2,9 +2,10 @@
 
 A command imports only what it calls: ``import swaykin.cli`` and the
 ``analyze`` and ``agree`` commands need no scipy, and ``track``, on feature
-CSVs or on frames, needs only ``scipy.linalg``. Each case runs in a fresh
-interpreter, so modules that other tests imported cannot hide a top-level
-import.
+CSVs or on frames, loads no scipy package: the smoother loads scipy's LAPACK
+extension from its file and keeps it out of ``sys.modules``. Each case runs
+in a fresh interpreter, so modules that other tests imported cannot hide a
+top-level import.
 """
 
 import ast
@@ -76,7 +77,8 @@ def test_analyze_and_agree_load_no_scipy(tmp_path):
 
 
 def test_feature_csv_track_loads_only_scipy_linalg(tmp_path):
-    # With noise, so the smoother (scipy.linalg) runs.
+    # With noise, so the smoother runs. It loads LAPACK without scipy.linalg
+    # and leaves no scipy module behind.
     scenario = {
         "duration_sec": 2.0,
         "rate_hz": 30.0,
@@ -89,10 +91,30 @@ def test_feature_csv_track_loads_only_scipy_linalg(tmp_path):
     steps = _scipy_modules_after(
         tmp_path, ["track", "--config", str(tmp_path / "sim" / "track_config.json"), "--out", str(tmp_path / "out")]
     )
-    assert steps[0] == []
-    assert "scipy.linalg" in steps[1]
-    for name in ("scipy.ndimage", "scipy.optimize", "scipy.spatial"):
-        assert not [m for m in steps[1] if m == name or m.startswith(name + ".")], name
+    assert steps == [[], []]
+
+
+# Loads the smoother's LAPACK, then imports scipy.linalg, and writes to argv[2]
+# the scipy modules left by the load, whether scipy.linalg has its _flapack
+# attribute, and whether scipy.linalg.lapack exports the same dpbsv.
+_LAPACK_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from swaykin import pose
+lapack = pose._lapack()
+left = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import scipy.linalg
+with open(sys.argv[2], "w") as f:
+    f.write(json.dumps([left, hasattr(scipy.linalg, "_flapack"), scipy.linalg.lapack.dpbsv is lapack.dpbsv]))
+"""
+
+
+def test_smoother_lapack_leaves_scipy_linalg_to_import_as_usual(tmp_path):
+    report = tmp_path / "lapack.json"
+    subprocess.run(
+        [sys.executable, "-c", _LAPACK_PROBE, str(SRC), str(report)], check=True, timeout=120, capture_output=True
+    )
+    assert json.loads(report.read_text()) == [[], True, True]
 
 
 # Runs one command of argv[2] (a JSON argument list) and writes, to argv[3],
@@ -109,9 +131,8 @@ with open(sys.argv[3], "w") as f:
 
 
 def test_feature_csv_track_starts_no_thread_pool(tmp_path):
-    # The image path's row-band threads start only inside an image call.
-    # (concurrent.futures itself comes with scipy.linalg, which imports
-    # numpy.testing; its ThreadPoolExecutor lives in concurrent.futures.thread.)
+    # The image path's row-band threads start only inside an image call, and
+    # their ThreadPoolExecutor lives in concurrent.futures.thread.
     scenario = {"duration_sec": 1.0, "rate_hz": 30.0, "seed": 3, "noise": {"sigma_px": 0.2, "dropout": 0.0}, "targets": ["lumbar"]}
     (tmp_path / "scenario.json").write_text(json.dumps(scenario))
     assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "sim")]) == 0

@@ -1,6 +1,9 @@
 """Six-parameter pose model and iterative fit tests."""
 
+import functools
+import importlib.machinery
 import logging
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -678,6 +681,33 @@ def test_track_smoother_damps_a_singular_system(monkeypatch, caplog):
     assert len(calls) > 2
     own = _per_frame_fits(frames)
     assert any(rep.theta != fit.theta for rep, fit in zip(track.reports, own))
+
+
+def test_track_smoother_falls_back_to_scipy_linalg_lapack(monkeypatch, caplog):
+    # Where scipy's LAPACK extension is not found by its file, the smoother
+    # takes the same routines from scipy.linalg.lapack, bit for bit. Each
+    # side gets its own cache of the loader, and the extension is taken out
+    # of sys.modules, so that the first side loads it from its file.
+    from scipy.linalg import lapack
+
+    from swaykin import pose
+
+    frames, _ = _noisy_frames(60, seed=30)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    tracks = []
+    for suffixes in (importlib.machinery.EXTENSION_SUFFIXES, []):
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", suffixes)
+        monkeypatch.setattr(pose, "_lapack", functools.cache(pose._lapack.__wrapped__))
+        assert (pose._lapack() is lapack) == (not suffixes)
+        tracks.append(track_sequence(frames, MODEL, INTR))
+    assert "keeping the per-frame fits" not in caplog.text
+    direct, fallback = tracks
+    assert direct.statuses == fallback.statuses
+    for a, b in zip(direct.reports, fallback.reports):
+        assert (a.theta, a.rms_residual_px, a.iterations, a.converged, a.degenerate) == (
+            b.theta, b.rms_residual_px, b.iterations, b.converged, b.degenerate
+        )
+        assert np.array_equal(a.covariance_diag, b.covariance_diag)
 
 
 def _assert_chain_fit(rep, own, depth_mm=0.01):
