@@ -440,11 +440,16 @@ def _evaluate(r: np.ndarray, J: np.ndarray, mask: np.ndarray) -> tuple[np.ndarra
     """RMS residual per feature (F,), the covariance proxy diag((J^T J)^+)
     (F, 6) and the rank-deficiency flag (F,) of one linearization: masked
     residuals ``r`` (F, 2m) and Jacobians ``J`` (F, 2m, 6) of the frames of
-    residual mask ``mask`` (F, 2m), as :func:`_linearize` returns them."""
+    residual mask ``mask`` (F, 2m), as :func:`_linearize` returns them.
+
+    Both come from one SVD J = U S V^T: (J^T J)^+ = V S^-2 V^T over the
+    squared singular values above :func:`numpy.linalg.pinv`'s default cutoff,
+    1e-15 times the largest."""
     rms = np.sqrt(np.sum(r**2, axis=1) / (np.sum(mask, axis=1) / 2))
-    sv = np.linalg.svd(J, compute_uv=False)
-    # A copy, so that the (F, 6, 6) inverse is not kept for its diagonal.
-    cov = np.diagonal(np.linalg.pinv(np.swapaxes(J, 1, 2) @ J), axis1=1, axis2=2).copy()
+    _, sv, Vt = np.linalg.svd(J, full_matrices=False)
+    s2 = sv**2
+    inv = np.divide(1.0, s2, out=np.zeros_like(s2), where=s2 > 1e-15 * s2[:, :1])
+    cov = np.einsum("fji,fj->fi", Vt**2, inv)
     return rms, cov, sv[:, -1] < 1e-10 * sv[:, 0]
 
 

@@ -683,6 +683,24 @@ def test_track_smoother_damps_a_singular_system(monkeypatch, caplog):
     assert any(rep.theta != fit.theta for rep, fit in zip(track.reports, own))
 
 
+@pytest.mark.parametrize("deficient", [False, True])
+def test_evaluate_covariance_is_the_pinv_of_the_normal_matrix(deficient):
+    from swaykin import pose
+
+    frames, truth = _noisy_frames(30, seed=31)
+    stack = pose._stack_observations(MODEL, frames)
+    r, J = pose._linearize(truth, stack, INTR)
+    if deficient:
+        J[::2, :, 5] = J[::2, :, 4]
+        J[1::4, :, 2] = 0.0
+    _, cov, degenerate = pose._evaluate(r, J, stack[2])
+    ref = np.diagonal(np.linalg.pinv(np.swapaxes(J, 1, 2) @ J), axis1=1, axis2=2)
+    npt.assert_allclose(cov, ref, rtol=1e-9, atol=1e-20)
+    sv = np.linalg.svd(J, compute_uv=False)
+    assert np.array_equal(degenerate, sv[:, -1] < 1e-10 * sv[:, 0])
+    assert degenerate.sum() == (23 if deficient else 0)
+
+
 def test_track_smoother_falls_back_to_scipy_linalg_lapack(monkeypatch, caplog):
     # Where scipy's LAPACK extension is not found by its file, the smoother
     # takes the same routines from scipy.linalg.lapack, bit for bit. Each
