@@ -546,12 +546,13 @@ def _lapack():
 
     Importing ``scipy.linalg`` imports the whole subpackage, which takes a
     ``track`` process tens of times longer, and far more memory, than
-    loading the extension from its file. The loaded module is kept out of ``sys.modules``,
-    so that a later ``import scipy.linalg`` runs as it would have and its
-    own load of the extension returns these same functions. Where the file
-    cannot be found or loaded (another scipy layout, a platform that needs
-    scipy's own set-up to find its libraries), ``scipy.linalg.lapack`` is
-    imported instead.
+    loading the extension from its file. An extension that scipy has
+    already imported is reused. One loaded here is kept out of
+    ``sys.modules``, so that a later ``import scipy.linalg`` runs as it
+    would have, and its own load of the extension returns these same
+    functions. Where the file cannot be found or loaded (another scipy
+    layout, a platform that needs scipy's own set-up to find its
+    libraries), ``scipy.linalg.lapack`` is imported instead.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
