@@ -227,12 +227,6 @@ def _time_step(path: str | Path, t_sec: np.ndarray) -> float:
     return step
 
 
-def load_theta_csv(path: str | Path) -> tuple[np.ndarray, float]:
-    """Read a parameter sequence; returns (theta array (n,6), rate_hz)."""
-    rows = _read_csv(path, [(n, float) for n in ("t_sec", *_THETAS)], {})
-    return np.column_stack([rows[n] for n in _THETAS]), 1.0 / _time_step(path, rows["t_sec"])
-
-
 def save_trajectory_csv(path: str | Path, traj: SwayTrajectory) -> None:
     """Write `t_sec,segment,AP_mm,ML_mm,SI_mm,valid` rows."""
     _write_csv(path, ["t_sec", "segment", "AP_mm", "ML_mm", "SI_mm", "valid"], (

@@ -9,10 +9,11 @@ smooths the whole run with an iterated Rauch-Tung-Striebel smoother under a
 white-jerk prior on each parameter, so the poses it reports use every frame's
 information, not only their own. Every solver runs one Levenberg-Marquardt
 loop, :func:`_levenberg_marquardt`, over a stack of independent problems
-with one damping each (the smoother is a stack of one), and projects each
-trial once: the closed-form Jacobian, by the scalar triple product, is built
-from that projection when the trial is accepted, and the reports are
-evaluated from the last one.
+with one damping each (the smoother is a stack of one). Every pose is
+projected by :func:`_project`, which also refuses it, past the gimbal guard
+or with an observed feature behind the camera; a refused trial costs inf.
+The closed-form Jacobian, by the scalar triple product, is built from a
+projection by :func:`_jacobian_from`.
 """
 from __future__ import annotations
 
@@ -146,8 +147,9 @@ def euler_from_rotation(R: np.ndarray) -> tuple[float, float, float]:
 class FitReport:
     """A frame's pose and how well it explains the frame's observations.
 
-    ``rms_residual_px`` (per feature), ``covariance_diag`` (diag((J^T J)^-1),
-    a covariance proxy per px^2 of noise variance) and ``degenerate`` (J has
+    ``rms_residual_px`` (per feature), ``covariance_diag`` (diag((J^T J)^+),
+    the pseudo-inverse with :func:`numpy.linalg.pinv`'s cutoff: a covariance
+    proxy per px^2 of noise variance) and ``degenerate`` (J has
     rank < 6) are evaluated once, at ``theta``. ``iterations`` counts the
     frame's Levenberg-Marquardt iterations, and ``converged`` is True exactly
     when one of :func:`fit_pose`'s stopping rules (cost decrease, gradient or
@@ -189,39 +191,42 @@ class PoseTrack:
 
 
 def _project(
-    th: np.ndarray, points: np.ndarray, obs_uv: np.ndarray, intrinsics: camera.CameraIntrinsics
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Residuals (..., 2m) of poses th (..., 6) against matched target points
-    (..., m, 3) observed at obs_uv (..., m, 2), leading axes broadcasting,
+    th: np.ndarray, points: np.ndarray, uv: np.ndarray, mask: np.ndarray, intrinsics: camera.CameraIntrinsics
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The one projection of every solver: poses th (..., 6) against matched
+    target points (..., m, 3) observed at uv (..., m, 2), with the residual
+    mask (..., 2m) of :func:`_stack_observations`, leading axes broadcasting.
+
+    Returns the masked residuals (..., 2m), predicted minus observed pixels
+    (u then v per feature); whether each pose is refused (...), past the
+    gimbal guard or with an observed feature at or behind ``MIN_DEPTH_MM``;
     and the state that :func:`_jacobian_from` takes: R, q = R p, 1/z and K n
-    for the normalized coordinates n. Raises :class:`BehindCameraError`,
-    naming the feature, when a point is not in front of the camera."""
+    for the normalized coordinates n. A refused pose's residuals are still
+    returned, and may be inf or NaN; a masked point never refuses a pose.
+    """
     R = _rotation(th[..., :3])
     q = points @ R.swapaxes(-1, -2)
-    z = q[..., 2] + th[..., None, 5]
-    if z.min() <= camera.MIN_DEPTH_MM:
-        bad = int(np.argmax((z <= camera.MIN_DEPTH_MM).ravel())) % z.shape[-1]
-        raise camera.BehindCameraError(f"feature {bad} transformed behind the camera")
-    return _project_rotated(th, R, q, obs_uv, intrinsics)
-
-
-def _project_rotated(
-    th: np.ndarray, R: np.ndarray, q: np.ndarray, obs_uv: np.ndarray, intrinsics: camera.CameraIntrinsics
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """:func:`_project` from the rotations R (..., 3, 3) of the poses and the
-    target points q = R p (..., m, 3) they rotate, without the depth check."""
     pc = q + th[..., None, 3:]
     z = pc[..., 2]
-    Kn = (pc[..., :2] / z[..., None]) @ np.array([[intrinsics.fx, 0.0], [intrinsics.skew, intrinsics.fy]])
-    r = Kn + (np.array([intrinsics.x0, intrinsics.y0]) - obs_uv)
-    return r.reshape(r.shape[:-2] + (-1,)), (R, q, 1.0 / z, Kn)
+    refused = np.abs(th[..., 1]) >= math.pi / 2 - GIMBAL_MARGIN
+    refused |= np.any((z <= camera.MIN_DEPTH_MM) & mask[..., ::2], axis=-1)
+    # A point behind the camera may divide by zero; its pose is refused, or
+    # the point is masked.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        Kn = (pc[..., :2] / z[..., None]) @ np.array([[intrinsics.fx, 0.0], [intrinsics.skew, intrinsics.fy]])
+        r = Kn + (np.array([intrinsics.x0, intrinsics.y0]) - uv)
+        r = r.reshape(r.shape[:-2] + (-1,))
+        r *= mask
+        inv_z = 1.0 / z
+    return r, refused, (R, q, inv_z, Kn)
 
 
 def _jacobian_from(
-    th: np.ndarray, state: tuple[np.ndarray, ...], intrinsics: camera.CameraIntrinsics
+    th: np.ndarray, state: tuple[np.ndarray, ...], mask: np.ndarray, intrinsics: camera.CameraIntrinsics
 ) -> np.ndarray:
     """Closed-form Jacobian (..., 2m, 6) of the residuals at poses th (..., 6)
-    from their :func:`_project` state; the observations do not enter it.
+    from their :func:`_project` state, masked by the residual mask (..., 2m);
+    the observations do not enter it.
 
     Per point, d(uv)/d(pc) is P = [K | -K n] / z. The translation enters pc
     with the identity, so its columns are P. For Z-Y-X Euler angles
@@ -249,35 +254,9 @@ def _jacobian_from(
     c = qx * py - qy * px
     J[..., 0] = c
     J[..., 2] += c * w3[..., 2, None, None]
-    return J.reshape(J.shape[:-3] + (-1, 6))
-
-
-def _residuals_array(
-    th: np.ndarray, points: np.ndarray, obs_uv: np.ndarray, intrinsics: camera.CameraIntrinsics
-) -> np.ndarray:
-    """Residuals (..., 2m) of :func:`_project`."""
-    return _project(th, points, obs_uv, intrinsics)[0]
-
-
-def reprojection_residuals(
-    theta: KinematicParams,
-    model: "GeometricTargetModel",
-    obs: Sequence[FeatureObservation],
-    intrinsics: camera.CameraIntrinsics,
-) -> np.ndarray:
-    """Signed residual vector (2m,): predicted minus observed pixels, in
-    observation order (u then v per feature)."""
-    points, uv, _ = _stack_observations(model, [obs])
-    return _residuals_array(theta.as_array(), points[0], uv[0], intrinsics)
-
-
-def _jacobian(
-    th: np.ndarray, points: np.ndarray, obs_uv: np.ndarray, intrinsics: camera.CameraIntrinsics
-) -> np.ndarray:
-    """Closed-form Jacobian (..., 2m, 6) of :func:`_residuals_array`, which
-    takes the same arguments: :func:`_jacobian_from`, by the scalar triple
-    product, on one :func:`_project`."""
-    return _jacobian_from(th, _project(th, points, obs_uv, intrinsics)[1], intrinsics)
+    J = J.reshape(J.shape[:-3] + (-1, 6))
+    J *= mask[..., None]
+    return J
 
 
 def _levenberg_marquardt(
@@ -290,28 +269,25 @@ def _levenberg_marquardt(
     ``trial(x, rows)`` returns the costs (n,) of problems ``rows`` (n,) at
     ``x`` (n, ...), inf where it refuses one, and what the solver keeps of
     that projection: a tuple of arrays with one leading row per problem.
-    ``trial`` may instead raise :class:`GimbalLockError` or
-    :class:`BehindCameraError`, refusing every candidate it was given; at the
-    start the error propagates. ``linearize(cost, kept, rows)`` returns the
-    normal equations' matrices and gradients of those problems, and a mask
-    (n,) of the problems whose own stopping rule fired there. ``solve(x, A, g, lam)`` returns the steps
+    ``linearize(cost, kept, rows)`` returns the normal equations' matrices
+    and gradients of those problems, and a mask (n,) of the problems whose
+    own stopping rule fired there. ``solve(x, A, g, lam)`` returns the steps
     for the damped matrices A + lam I, with NaN for a singular one, or raises
     ``LinAlgError`` for all of them.
 
     Damping adds lambda I to a problem's matrix. It starts at 1e-3, falls
     tenfold on an accepted step and rises tenfold on a refused one, which is
     retried from the same linearization. A step is refused if it does not
-    lower the cost, crosses the gimbal guard, puts a feature behind the
-    camera or meets a singular system; a refusal raises only its own
-    problem's damping. A problem has converged when an accepted step lowers
-    its cost by at most 1e-6 of its value; it stops unconverged after
-    ``max_iterations`` or once its damping reaches 1e12. Each round
-    linearizes the problems that have just accepted a step and tries one step
-    of every problem still running, so a problem takes the steps it would
-    take alone. A problem whose start is refused is not iterated. Returns the
-    final ``x``, their trials' kept state, and per problem the number of
-    iterations, whether it converged and its final cost (inf where the start
-    was refused).
+    lower the cost, as a refused trial's inf cannot, or meets a singular
+    system; a refusal raises only its own problem's damping. A problem has
+    converged when an accepted step lowers its cost by at most 1e-6 of its
+    value; it stops unconverged after ``max_iterations`` or once its damping
+    reaches 1e12. Each round linearizes the problems that have just accepted
+    a step and tries one step of every problem still running, so a problem
+    takes the steps it would take alone. A problem whose start is refused is
+    not iterated. Returns the final ``x``, their trials' kept state, and per
+    problem the number of iterations, whether it converged and its final
+    cost (inf where the start was refused).
     """
     P = len(x)
     x = x.copy()
@@ -349,10 +325,7 @@ def _levenberg_marquardt(
         finite = np.isfinite(cand.reshape(len(rows), -1)).all(axis=1)
         cost_new = np.full(len(rows), np.inf)
         if finite.any():
-            try:
-                cost_new[finite], kept_new = trial(cand[finite], rows[finite])
-            except (GimbalLockError, camera.BehindCameraError):
-                pass
+            cost_new[finite], kept_new = trial(cand[finite], rows[finite])
         better = cost_new < cost[rows]
         lam[rows] = np.where(better, lam[rows] / _LAMBDA_FACTOR, lam[rows] * _LAMBDA_FACTOR)
         stepping[rows] = ~better & (lam[rows] < 1e12)
@@ -385,32 +358,21 @@ def _fit(
     (F, 6): target points (F, m, 3) observed at ``obs_uv`` (F, m, 2), with
     the residual mask (F, 2m) of :func:`_stack_observations`. Returns the
     final poses, the numbers of iterations, whether a stopping rule fired and
-    whether each fit could start: a start past the gimbal guard or with a
-    feature behind the camera is refused, and its frame is not fitted."""
+    whether each fit could start: a start that :func:`_project` refuses is
+    not fitted."""
     floor = np.sum(mask, axis=1) / 2 * _NOISE_FREE_PX**2
 
     def trial(th: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
         n = len(points)
         pts, uv, msk = _take(points, rows, n), _take(obs_uv, rows, n), _take(mask, rows, n)
-        R = _rotation(th[:, :3])
-        q = pts @ R.swapaxes(-1, -2)
-        refused = np.abs(th[:, 1]) >= math.pi / 2 - GIMBAL_MARGIN
-        refused |= np.any((q[..., 2] + th[:, 5:] <= camera.MIN_DEPTH_MM) & msk[:, ::2], axis=1)
-        if refused.any():
-            # Rows behind the camera may divide by zero; they are refused.
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                r, state = _project_rotated(th, R, q, uv, intrinsics)
-        else:
-            r, state = _project_rotated(th, R, q, uv, intrinsics)
-        r *= msk
+        r, refused, state = _project(th, pts, uv, msk, intrinsics)
         cost = np.einsum("fi,fi->f", r, r)
         cost[refused | ~np.isfinite(cost)] = np.inf
         return cost, (th, r, *state)
 
     def linearize(cost: np.ndarray, kept: tuple, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         th, r, *state = kept
-        J = _jacobian_from(th, tuple(state), intrinsics)
-        J *= _take(mask, rows, len(mask))[..., None]
+        J = _jacobian_from(th, tuple(state), _take(mask, rows, len(mask)), intrinsics)
         JtJ, g = J.swapaxes(1, 2) @ J, np.einsum("fmi,fm->fi", J, r)
         # A zero column has a zero gradient, which meets the rule.
         scaled = _GRADIENT_TOL * np.sqrt(cost)[:, None] * np.sqrt(np.diagonal(JtJ, axis1=1, axis2=2))
@@ -470,16 +432,18 @@ def fit_pose(
     value serves radians and millimeters alike (Madsen, Nielsen & Tingleff,
     *Methods for Non-Linear Least Squares Problems*, 2004). The report,
     evaluated at the returned pose, flags ``degenerate`` when the Jacobian
-    has rank < 6, and carries diag((J^T J)^-1) as a covariance proxy. Raises
-    :class:`BehindCameraError` when a feature is behind the camera at
-    ``init``.
+    has rank < 6, and carries diag((J^T J)^+) as a covariance proxy. Raises
+    :class:`BehindCameraError` when an observed feature is at or behind the
+    camera at ``init``.
     """
     if len(obs) < MIN_OBSERVATIONS:
         raise InsufficientCorrespondenceError(
             f"{len(obs)} observation(s); pose fitting needs at least {MIN_OBSERVATIONS}"
         )
     stack = _stack_observations(model, [obs])
-    th, iterations, converged, _ = _fit(init.as_array()[None], *stack, intrinsics, max_iterations)
+    th, iterations, converged, started = _fit(init.as_array()[None], *stack, intrinsics, max_iterations)
+    if not started[0]:
+        raise camera.BehindCameraError("an observed feature is behind the camera at the start pose")
     rms, cov, degenerate = _evaluate(*_linearize(th, stack, intrinsics), stack[2])
     if degenerate[0]:
         logger.warning("pose Jacobian is rank deficient at theta %s", th[0])
@@ -697,21 +661,10 @@ def _linearize(
     intrinsics: camera.CameraIntrinsics,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Masked residuals (F, 2m) and Jacobians (F, 2m, 6) of the frames of
-    ``stack`` at poses ``theta`` (F, 6), from one projection."""
-    points, uv, mask = stack
-    return _masked(theta, *_project(theta, points, uv, intrinsics), mask, intrinsics)
-
-
-def _masked(
-    theta: np.ndarray, r: np.ndarray, state: tuple[np.ndarray, ...], mask: np.ndarray,
-    intrinsics: camera.CameraIntrinsics,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The residuals ``r`` (F, 2m) of a projection at ``theta`` and its
-    Jacobians, both masked in place by the residual mask (F, 2m)."""
-    r *= mask
-    J = _jacobian_from(theta, state, intrinsics)
-    J *= mask[..., None]
-    return r, J
+    ``stack`` at poses ``theta`` (F, 6), from one :func:`_project`, whose
+    refusal they do not check."""
+    r, _, state = _project(theta, *stack, intrinsics)
+    return r, _jacobian_from(theta, state, stack[2], intrinsics)
 
 
 def _smooth_poses(
@@ -733,14 +686,13 @@ def _smooth_poses(
     the fits' variances per unit noise, diag((J^T J)^+); those of the
     ``informative`` frames, with full-rank Jacobians, pick the jerk densities.
     Each pass is an iteration of :func:`_levenberg_marquardt` on that
-    objective, with each fitted frame's information damped; each trial
-    projects the run once, and the next pass linearizes from the accepted
-    trial's projection, of which only the rotated points are kept between
-    passes. Returns the smoothed poses, their masked residuals
-    and Jacobians (as :func:`_linearize` gives them), the number of passes
-    and whether the passes settled.
+    objective, with each fitted frame's information damped. Each trial
+    projects the run once, and costs inf where :func:`_project` refuses any
+    frame's pose; only its poses are kept, and each pass projects the
+    accepted ones again to linearize there. Returns the smoothed poses, their
+    masked residuals and Jacobians (as :func:`_linearize` gives them), the
+    number of passes and whether the passes settled.
     """
-    points, uv, mask = stack
     T = int(t[-1]) + 1
     var = cov[informative]
     scale = np.sqrt(np.median(var, axis=0))
@@ -754,28 +706,20 @@ def _smooth_poses(
 
     def trial(z: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
         # Half the squared residuals plus half w^T G w over the jerk
-        # increments w, with the poses and rotated points it took; raises
-        # past the gimbal guard or behind the camera. The run is a stack of
-        # one problem.
+        # increments w, with the poses it took; inf where any frame's pose is
+        # refused. The run is a stack of one problem.
         z = z[0]
         th = mean + scale * z[t, ::3]
-        if np.any(np.abs(th[:, 1]) >= math.pi / 2 - GIMBAL_MARGIN):
-            raise GimbalLockError("a smoothed pose crosses the gimbal guard")
-        r, state = _project(th, points, uv, intrinsics)
-        r *= mask
+        r, refused, _ = _project(th, *stack, intrinsics)
+        if refused.any():
+            return np.full(1, np.inf), (th[None],)
         w = z[1:] - z[:-1] @ F.T
-        return np.array([0.5 * float(np.sum(r**2) + np.einsum("ti,ij,tj->", w, G, w))]), (th[None], state[1][None])
-
-    def linearized(th: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # The rest of a trial's projection, rebuilt from its rotated points
-        # by the same arithmetic: the trial's own values.
-        r, state = _project_rotated(th, _rotation(th[:, :3]), q, uv, intrinsics)
-        return _masked(th, r, state, mask, intrinsics)
+        return np.array([0.5 * float(np.sum(r**2) + np.einsum("ti,ij,tj->", w, G, w))]), (th[None],)
 
     def linearize(cost: np.ndarray, kept: tuple, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # The steps need only J^T J and J^T r; on a long run r and J are
         # large, and they are dropped on return.
-        r, J = linearized(kept[0][0], kept[1][0])
+        r, J = _linearize(kept[0][0], stack, intrinsics)
         A, g = np.swapaxes(J, 1, 2) @ J * scale[:, None] * scale, np.einsum("fmi,fm->fi", J, r) * scale
         return A[None], g[None], np.zeros(1, dtype=bool)
 
@@ -787,9 +731,9 @@ def _smooth_poses(
     # with the step.
     z = np.zeros((T, 18))
     z[t, ::3] = xi
-    _, (th, q), passes, settled, _ = _levenberg_marquardt(z[None], trial, linearize, solve, _SMOOTHER_MAX_PASSES)
-    th, q, passes, settled = th[0], q[0], int(passes[0]), bool(settled[0])
-    return (th, *linearized(th, q), passes, settled)
+    _, (th,), passes, settled, _ = _levenberg_marquardt(z[None], trial, linearize, solve, _SMOOTHER_MAX_PASSES)
+    th, passes, settled = th[0], int(passes[0]), bool(settled[0])
+    return (th, *_linearize(th, stack, intrinsics), passes, settled)
 
 
 def _gauss_newton_step(
@@ -863,10 +807,8 @@ def _one_minimum(
     same = np.empty(len(run), dtype=bool)
     for s in range(0, len(run), _FIT_BLOCK):
         block = slice(s, s + _FIT_BLOCK)
-        points, uv, mask = (x[run[block]] for x in stack)
         th = a[block]
-        R = _rotation(th[:, :3])
-        r, J = _masked(th, *_project_rotated(th, R, points @ R.swapaxes(-1, -2), uv, intrinsics), mask, intrinsics)
+        r, J = _linearize(th, tuple(x[run[block]] for x in stack), intrinsics)
         step = J @ (b[block] - th)[..., None]
         same[block] = np.sum(step[..., 0] ** 2, axis=1) <= _SAME_MINIMUM * _COST_TOL * np.sum(r**2, axis=1)
     return same
@@ -944,7 +886,7 @@ def track_sequence(
       each pose parameter;
     - each fitted frame is measured by the Gauss-Newton step from the
       current smoothed pose, with full covariance sigma^2 (J^T J)^-1: J is
-      taken at the smoothed pose, from the projection that accepted it, and
+      taken at the smoothed pose, from a projection of it, and
       sigma^2 is pooled over the run from the per-frame fits' residuals;
     - it re-linearizes at the smoothed pose, which makes it Gauss-Newton on
       the run's objective (Bell, SIAM J. Optim. 4(3), 1994), damped by
@@ -960,7 +902,7 @@ def track_sequence(
     per-frame fits. So does a run whose smoother does not settle, with a
     warning. Every report describes the pose it returns: residual, covariance
     proxy and degeneracy are evaluated once, at the returned pose, from the
-    linearization made there (the smoother's last accepted trial, or the
+    linearization made there (of the smoother's last accepted poses, or the
     per-frame fits' one evaluation, which also gives the variances that pick
     the jerk densities), and the rank-deficient frames among them are named
     in one warning.
@@ -977,7 +919,7 @@ def track_sequence(
         i = fittable[0]
         try:
             start = initialize_first_frame(model, cols.observations(i), intrinsics).as_array()
-            if _fit(start[None], points[i : i + 1], uv[i : i + 1], mask[i : i + 1], intrinsics, 0)[3][0]:
+            if not _project(start, points[i], uv[i], mask[i], intrinsics)[1]:
                 break
             logger.debug("frame %d: its start is refused; marking gap", i)
         except (GimbalLockError, camera.DegenerateGeometryError, camera.BehindCameraError) as e:
@@ -1019,7 +961,7 @@ def track_sequence(
                 logger.warning(
                     "pose smoother did not settle in %d passes; keeping the per-frame fits", passes
                 )
-        except (GimbalLockError, camera.BehindCameraError, np.linalg.LinAlgError) as e:
+        except np.linalg.LinAlgError as e:
             logger.warning("pose smoother failed (%s); keeping the per-frame fits", e)
     if np.any(degenerate):
         rank_deficient = [fitted[f] for f in np.flatnonzero(degenerate)]

@@ -189,9 +189,9 @@ def test_simulate_outputs(sim_dir):
         "track_config.json",
     ):
         assert (sim_dir / name).is_file(), name
-    theta, rate = fileio.load_theta_csv(sim_dir / "truth_theta.csv")
-    assert theta.shape == (120, 6)
-    assert rate == pytest.approx(30.0)
+    truth = np.loadtxt(sim_dir / "truth_theta.csv", delimiter=",", skiprows=1)
+    assert truth.shape == (120, 8)  # frame, t_sec and the six parameters
+    assert 1 / (truth[1, 1] - truth[0, 1]) == pytest.approx(30.0)
 
 
 def test_simulate_reproducible(sim_dir, tmp_path):
@@ -278,8 +278,7 @@ def _simulate_short(tmp_path, noise):
     sc = dict(SCENARIO, duration_sec=0.3, noise=noise)
     (tmp_path / "scenario.json").write_text(json.dumps(sc))
     assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "sim")]) == 0
-    theta, _ = fileio.load_theta_csv(tmp_path / "sim" / "truth_theta.csv")
-    assert len(theta) == 9
+    assert len(np.loadtxt(tmp_path / "sim" / "truth_theta.csv", delimiter=",", skiprows=1)) == 9
     return tmp_path / "sim"
 
 

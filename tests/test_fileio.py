@@ -296,32 +296,18 @@ def test_theta_csv_roundtrip(tmp_path):
     theta = rng.normal(0, 1, (40, 6)) + [0, 0, 0, 0, 0, 1000.0]
     p = tmp_path / "theta.csv"
     fileio.save_theta_csv(p, theta, rate_hz=30.0)
-    back, rate = fileio.load_theta_csv(p)
-    npt.assert_array_equal(back, theta)
-    assert rate == pytest.approx(30.0, abs=1e-9)
-
-
-def test_theta_csv_needs_two_rows(tmp_path):
-    p = tmp_path / "one.csv"
-    fileio.save_theta_csv(p, np.zeros((1, 6)), rate_hz=30.0)
-    with pytest.raises(ValueError):
-        fileio.load_theta_csv(p)
-
-
-# A step that is zero (a repeated t_sec) or not a number.
-BAD_TIMES = [("0.0", "0.0", "0.0"), ("nan", "nan", "nan")]
-
-
-@pytest.mark.parametrize("times", BAD_TIMES)
-def test_theta_csv_rejects_a_step_that_is_not_positive(tmp_path, times):
-    p = tmp_path / "theta.csv"
-    p.write_text("t_sec,theta1,theta2,theta3,theta4,theta5,theta6\n" + "".join(f"{t},0,0,0,0,0,1000\n" for t in times))
-    with pytest.raises(ValueError, match="step"):
-        fileio.load_theta_csv(p)
+    back = np.loadtxt(p, delimiter=",", skiprows=1)
+    npt.assert_array_equal(back[:, 0], np.arange(40))
+    npt.assert_array_equal(back[:, 2:], theta)
+    npt.assert_allclose(np.diff(back[:, 1]), 1 / 30.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # trajectory CSV
+
+
+# A step that is zero (a repeated t_sec) or not a number.
+BAD_TIMES = [("0.0", "0.0", "0.0"), ("nan", "nan", "nan")]
 
 
 def test_trajectory_csv_roundtrip(tmp_path):

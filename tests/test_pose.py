@@ -3,6 +3,7 @@
 import functools
 import importlib.machinery
 import logging
+import re
 import sys
 
 import numpy as np
@@ -31,15 +32,17 @@ from swaykin import (
     motion_matrix,
     project,
     render_observations,
-    reprojection_residuals,
     track_sequence,
     validate_asymmetry,
 )
-from swaykin.pose import _jacobian, _residuals_array
+from swaykin.camera import MIN_DEPTH_MM
+from swaykin.pose import GIMBAL_MARGIN, _jacobian_from, _linearize, _project, _stack_observations
 
 INTR = CameraIntrinsics(fx=4000, fy=4000, x0=1024, y0=1024)
 MODEL = default_target("lumbar")
 HOME = KinematicParams(0.0, 0.0, 0.0, 0.0, 0.0, 1000.0)
+# The residual mask of a frame that observes every feature of MODEL.
+ALL = np.ones(2 * MODEL.n_features, dtype=bool)
 
 
 def _theta_array(theta):
@@ -114,19 +117,15 @@ def test_euler_gimbal_detection():
 
 def test_residuals_zero_at_truth():
     theta = KinematicParams(0.05, -0.03, 0.02, 3.0, -2.0, 1000.0)
-    r = reprojection_residuals(theta, MODEL, _exact_obs(theta), INTR)
-    assert r.shape == (30,)
+    uv = project(INTR, _pose_of(theta), MODEL.points)
+    r, refused, _ = _project(_theta_array(theta), MODEL.points, uv, ALL, INTR)
+    assert r.shape == (30,) and not refused
     npt.assert_allclose(r, 0.0, atol=1e-9)
 
 
 def test_residuals_uniform_pixel_offset():
-    theta = KinematicParams(0.0, 0.0, 0.0, 0.0, 0.0, 1000.0)
-    obs = _exact_obs(theta)
-    shifted = [
-        FeatureObservation(position=o.position + [1.0, 0.0], score=1.0, model_index=o.model_index)
-        for o in obs
-    ]
-    r = reprojection_residuals(theta, MODEL, shifted, INTR)
+    uv = project(INTR, _pose_of(HOME), MODEL.points) + [1.0, 0.0]
+    r = _project(_theta_array(HOME), MODEL.points, uv, ALL, INTR)[0]
     npt.assert_allclose(r[0::2], -1.0, atol=1e-12)  # predicted minus observed
     npt.assert_allclose(r[1::2], 0.0, atol=1e-12)
 
@@ -135,56 +134,58 @@ def test_residuals_match_direct_recompute():
     rng = np.random.default_rng(21)
     for _ in range(20):
         theta = KinematicParams(*rng.uniform(-0.3, 0.3, 3), *rng.uniform(-20, 20, 2), 1000.0)
-        obs = _exact_obs(theta)
-        jitter = rng.normal(0, 1.0, (len(obs), 2))
-        noisy = [
-            FeatureObservation(position=o.position + j, score=1.0, model_index=o.model_index)
-            for o, j in zip(obs, jitter)
-        ]
-        r = reprojection_residuals(theta, MODEL, noisy, INTR)
-        expect = -jitter.ravel()
-        npt.assert_allclose(r, expect, atol=1e-9)
+        jitter = rng.normal(0, 1.0, (MODEL.n_features, 2))
+        uv = project(INTR, _pose_of(theta), MODEL.points) + jitter
+        r = _project(_theta_array(theta), MODEL.points, uv, ALL, INTR)[0]
+        npt.assert_allclose(r, -jitter.ravel(), atol=1e-9)
 
 
 def test_residuals_behind_camera():
-    theta = KinematicParams(0.0, 0.0, 0.0, 0.0, 0.0, 1000.0)
-    obs = _exact_obs(theta)
-    with pytest.raises(BehindCameraError):
-        reprojection_residuals(KinematicParams(0, 0, 0, 0, 0, -500.0), MODEL, obs, INTR)
+    uv = project(INTR, _pose_of(HOME), MODEL.points)
+    _, refused, _ = _project(np.array([0.0, 0.0, 0.0, 0.0, 0.0, -500.0]), MODEL.points, uv, ALL, INTR)
+    assert refused
+
+
+def _finite_difference_jacobian(th, pts, uv, mask, intr, h=1e-7):
+    """Central differences of :func:`_project`'s residuals at one pose."""
+    J = np.empty((len(mask), 6))
+    for k in range(6):
+        d = np.zeros(6)
+        d[k] = h
+        J[:, k] = (_project(th + d, pts, uv, mask, intr)[0] - _project(th - d, pts, uv, mask, intr)[0]) / (2 * h)
+    return J
 
 
 def test_jacobian_matches_finite_difference():
     rng = np.random.default_rng(22)
     theta = KinematicParams(0.1, -0.05, 0.08, 5.0, -3.0, 1000.0)
-    obs = _exact_obs(theta)
-    uv = np.array([o.position for o in obs])
-    idx = np.arange(len(obs))
+    uv = project(INTR, _pose_of(theta), MODEL.points)
     th = _theta_array(theta) + rng.normal(0, 0.01, 6)
-    pts = MODEL.points[idx]
-    J = _jacobian(th, pts, uv, INTR)
-    # independent central-difference check
-    h = 1e-7
-    J_ref = np.empty_like(J)
-    for k in range(6):
-        d = np.zeros(6)
-        d[k] = h
-        rp = _residuals_array(th + d, pts, uv, INTR)
-        rm = _residuals_array(th - d, pts, uv, INTR)
-        J_ref[:, k] = (rp - rm) / (2 * h)
+    r, _, state = _project(th, MODEL.points, uv, ALL, INTR)
+    J = _jacobian_from(th, state, ALL, INTR)
+    J_ref = _finite_difference_jacobian(th, MODEL.points, uv, ALL, INTR)
     scale = np.maximum(np.abs(J_ref), 1.0)
     assert np.max(np.abs(J - J_ref) / scale) < 1e-5
+    # _linearize is the same projection and Jacobian.
+    r_lin, J_lin = _linearize(th, (MODEL.points, uv, ALL), INTR)
+    assert np.array_equal(r_lin, r) and np.array_equal(J_lin, J)
 
 
 def test_stacked_jacobian_matches_per_frame_calls():
-    # The smoother linearizes all frames at once through the batched shape.
+    # The smoother linearizes all frames at once through the batched shape,
+    # and a masked entry of the stack is zero in both r and J.
     rng = np.random.default_rng(29)
     th = _theta_array(HOME) + rng.normal(0, [0.1, 0.1, 0.1, 20.0, 20.0, 50.0], (5, 6))
     pts = MODEL.points[rng.permuted(np.tile(np.arange(MODEL.n_features), (5, 1)), axis=1)]
     uv = rng.uniform(900.0, 1150.0, pts.shape[:-1] + (2,))
-    J = _jacobian(th, pts, uv, INTR)
+    mask = np.repeat(np.arange(MODEL.n_features) < [[15], [12], [15], [4], [9]], 2, axis=1)
+    r, J = _linearize(th, (pts, uv, mask), INTR)
     assert J.shape == (5, 2 * MODEL.n_features, 6)
     for f in range(5):
-        npt.assert_allclose(J[f], _jacobian(th[f], pts[f], uv[f], INTR), rtol=1e-12, atol=1e-12)
+        r_f, J_f = _linearize(th[f], (pts[f], uv[f], mask[f]), INTR)
+        npt.assert_allclose(r[f], r_f, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(J[f], J_f, rtol=1e-12, atol=1e-12)
+        assert not np.any(r[f, ~mask[f]]) and not np.any(J[f, ~mask[f]])
 
 
 def test_residuals_and_jacobian_under_general_camera():
@@ -193,28 +194,20 @@ def test_residuals_and_jacobian_under_general_camera():
     rng = np.random.default_rng(31)
     th = _theta_array(HOME) + rng.normal(0, [0.1, 0.1, 0.1, 20.0, 20.0, 50.0], (4, 6))
     pts = np.broadcast_to(MODEL.points, (4,) + MODEL.points.shape)
+    mask = np.broadcast_to(ALL, (4, len(ALL)))
     uv = np.stack([project(intr, _pose_of(KinematicParams(*row)), MODEL.points) for row in th])
-    npt.assert_allclose(_residuals_array(th, pts, uv, intr), 0.0, atol=1e-9)
+    npt.assert_allclose(_project(th, pts, uv, mask, intr)[0], 0.0, atol=1e-9)
     uv = uv + rng.normal(0, 0.5, uv.shape)
-    r, J = _residuals_array(th, pts, uv, intr), _jacobian(th, pts, uv, intr)
-    h = 1e-7
+    r, J = _linearize(th, (pts, uv, mask), intr)
     for f in range(4):
-        npt.assert_allclose(r[f], _residuals_array(th[f], pts[f], uv[f], intr), rtol=1e-12, atol=1e-9)
-        npt.assert_allclose(J[f], _jacobian(th[f], pts[f], uv[f], intr), rtol=1e-12, atol=1e-12)
-        J_ref = np.empty_like(J[f])
-        for k in range(6):
-            d = np.zeros(6)
-            d[k] = h
-            rp = _residuals_array(th[f] + d, pts[f], uv[f], intr)
-            rm = _residuals_array(th[f] - d, pts[f], uv[f], intr)
-            J_ref[:, k] = (rp - rm) / (2 * h)
+        npt.assert_allclose(r[f], _project(th[f], pts[f], uv[f], ALL, intr)[0], rtol=1e-12, atol=1e-9)
+        npt.assert_allclose(J[f], _linearize(th[f], (pts[f], uv[f], ALL), intr)[1], rtol=1e-12, atol=1e-12)
+        J_ref = _finite_difference_jacobian(th[f], pts[f], uv[f], ALL, intr)
         assert np.max(np.abs(J[f] - J_ref) / np.maximum(np.abs(J_ref), 1.0)) < 1e-5
 
 
 def test_stack_scatters_each_frame_into_its_padded_row():
     # Frames of every kind, against a frame-by-frame reference.
-    from swaykin.pose import _stack_observations
-
     rng = np.random.default_rng(34)
     obs = _exact_obs(HOME)
     frames = [[], [obs[k] for k in rng.permutation(15)[:5]], obs[:3], [], list(reversed(obs))]
@@ -229,13 +222,20 @@ def test_stack_scatters_each_frame_into_its_padded_row():
         npt.assert_array_equal(mask[f], np.arange(30) < 2 * n)
 
 
-def test_stacked_residuals_name_the_feature_behind_the_camera():
+def test_project_refuses_only_observed_features_behind_the_camera():
+    # Frame 2's feature 5 is behind the camera, and frame 1 is past the
+    # gimbal guard. Masked, as padding is, feature 5 refuses nothing.
     th = np.tile(_theta_array(HOME), (4, 1))
+    th[1, 1] = np.pi / 2 - GIMBAL_MARGIN
     pts = np.broadcast_to(MODEL.points, (4,) + MODEL.points.shape).copy()
     pts[2, 5, 2] = -2000.0
     uv = np.zeros(pts.shape[:-1] + (2,))
-    with pytest.raises(BehindCameraError, match=r"^feature 5 "):
-        _residuals_array(th, pts, uv, INTR)
+    mask = np.ones((4, 2 * MODEL.n_features), dtype=bool)
+    assert _project(th, pts, uv, mask, INTR)[1].tolist() == [False, True, True, False]
+    mask[2, 10:] = False
+    r, refused, _ = _project(th, pts, uv, mask, INTR)
+    assert refused.tolist() == [False, True, False, False]
+    assert np.all(np.isfinite(r[2])) and not np.any(r[2, 10:])
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +271,12 @@ def test_fit_held_by_gimbal_guard_is_not_converged():
     # The optimum lies just past the gimbal guard, so the guard refuses every
     # step towards it until the damped step is negligible: a constraint, not
     # a minimum, holds the fit.
-    from swaykin.pose import GIMBAL_MARGIN
-
     edge = np.pi / 2 - GIMBAL_MARGIN
     truth = np.array([0.1, edge + 5e-7, 0.2, 10.0, -5.0, 1000.0])
-    uv = _residuals_array(truth, MODEL.points, np.zeros((len(MODEL.points), 2)), INTR)
+    # The residuals against observations at pixel 0 are the projection,
+    # which _project returns although it refuses the pose.
+    uv, refused, _ = _project(truth, MODEL.points, np.zeros((len(MODEL.points), 2)), ALL, INTR)
+    assert refused
     obs = [
         FeatureObservation(position=p, score=1.0, model_index=i)
         for i, p in enumerate(uv.reshape(-1, 2))
@@ -283,6 +284,27 @@ def test_fit_held_by_gimbal_guard_is_not_converged():
     report = fit_pose(KinematicParams(0.1, edge - 1e-8, 0.2, 10.0, -5.0, 1000.0), MODEL, obs, INTR)
     assert report.theta.theta2 < edge
     assert not report.converged
+
+
+def test_fit_refuses_a_start_behind_the_camera():
+    obs = _exact_obs(HOME)
+    with pytest.raises(BehindCameraError):
+        fit_pose(KinematicParams(0.0, 0.0, 0.0, 0.0, 0.0, -500.0), MODEL, obs, INTR)
+
+
+def test_fit_refuses_a_start_with_one_observed_feature_behind_the_camera():
+    # A start tilted so that feature 14, alone, is behind the camera: the
+    # fit refuses it while that feature is observed, and starts without it.
+    tilted = np.array([0.0, 0.3, -0.3, 0.0, 0.0, 0.0])
+    z = (MODEL.points @ motion_matrix(KinematicParams(*tilted))[:3, :3].T)[:, 2]
+    order = np.argsort(z)
+    assert order[0] == 14
+    tilted[5] = -(z[order[0]] + z[order[1]]) / 2
+    assert np.sum(z + tilted[5] <= MIN_DEPTH_MM) == 1
+    obs = _exact_obs(HOME)
+    with pytest.raises(BehindCameraError):
+        fit_pose(KinematicParams(*tilted), MODEL, obs, INTR)
+    fit_pose(KinematicParams(*tilted), MODEL, obs[:14], INTR, max_iterations=1)
 
 
 def test_fit_rejects_too_few_observations():
@@ -633,14 +655,17 @@ def test_track_smoother_projects_once_per_trial(monkeypatch, caplog):
         return smooth(*args, **kwargs)
 
     monkeypatch.setattr(pose, "_smooth_poses", smooth_counted)
+    caplog.set_level(logging.DEBUG, logger="swaykin.pose")
     frames, _ = _noisy_frames(90, seed=34)
     track_sequence(frames, MODEL, INTR)
     assert "keeping the per-frame fits" not in caplog.text
     trials = calls["_gauss_newton_step"]
-    assert trials > 1
+    passes = int(re.search(r"settled after (\d+) passes", caplog.text).group(1))
+    assert trials >= passes > 1
     # From the smoother's start to the reports: the starting cost's
-    # projection, then one per trial, which also linearizes the next pass.
-    assert calls["_project"] - at_start[0] == trials + 1
+    # projection, one per trial, one per pass, which linearizes at the poses
+    # that the pass starts from, and one at the settled poses for the reports.
+    assert calls["_project"] - at_start[0] == trials + passes + 2
 
 
 def test_track_reports_on_long_sparse_run_match_fresh_evaluation(caplog):
@@ -738,7 +763,7 @@ def _assert_chain_fit(rep, own, depth_mm=0.01):
     assert rep.converged == own.converged
 
 
-@pytest.mark.parametrize("failure", ["unsettled", "behind_camera"])
+@pytest.mark.parametrize("failure", ["unsettled", "singular"])
 def test_track_keeps_per_frame_fits_when_smoother_fails(monkeypatch, caplog, failure):
     from swaykin import pose
 
@@ -746,10 +771,10 @@ def test_track_keeps_per_frame_fits_when_smoother_fails(monkeypatch, caplog, fai
         monkeypatch.setattr(pose, "_SMOOTHER_MAX_PASSES", 1)
     else:
 
-        def behind(*args, **kwargs):
-            raise BehindCameraError("feature 0 transformed behind the camera")
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("3th leading minor not positive definite")
 
-        monkeypatch.setattr(pose, "_smooth_poses", behind)
+        monkeypatch.setattr(pose, "_smooth_poses", singular)
     frames, _ = _noisy_frames(60, seed=30)
     track = track_sequence(frames, MODEL, INTR)
     assert "keeping the per-frame fits" in caplog.text
@@ -905,8 +930,6 @@ def test_single_frame_solvers_refuse_an_observation_without_model_index():
         fit_pose(HOME, MODEL, obs, INTR)
     with pytest.raises(ValueError, match=message):
         initialize_first_frame(MODEL, obs, INTR)
-    with pytest.raises(ValueError, match=message):
-        reprojection_residuals(HOME, MODEL, obs, INTR)
 
 
 def test_track_reports_the_first_bad_model_index_in_frame_order():
