@@ -43,7 +43,6 @@ _COMPUTE_ERRORS = (
     pose.TrackingError,
     features.LatticeMatchError,
     features.InsufficientCorrespondenceError,
-    features.NoGradientError,
     ValueError,
 )
 

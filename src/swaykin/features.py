@@ -39,13 +39,12 @@ MIN_OBSERVATIONS = 4  # matched observations that a pose fit needs
 
 # Structure-tensor conditioning limit for sub-pixel refinement.
 MAX_TENSOR_CONDITION = 1e8
+# Corners per block of refine_subpixel's pass, which bounds its memory
+# whatever the number of corners.
+_REFINE_BLOCK = 1024
 
 SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]]) / 8.0
 SOBEL_Y = SOBEL_X.T
-
-
-class NoGradientError(RuntimeError):
-    """Neighborhood has no usable gradient structure for refinement."""
 
 
 class InsufficientCorrespondenceError(RuntimeError):
@@ -77,9 +76,9 @@ class FeatureColumns:
     """A run's observations as columns, one row per observation, the rows in
     frame order: ``frame`` (n,) ints, ``model_index`` (n,) floats, NaN where
     an observation has none, ``uv`` (n, 2) pixels and ``score`` (n,), over
-    ``n_frames`` frames; a frame without rows is empty. Frame numbers out
-    of order or outside [0, n_frames), and positions that are not finite,
-    are refused."""
+    ``n_frames`` frames; a frame without rows is empty. Columns of unequal
+    length, frame numbers out of order or outside [0, n_frames), and
+    positions that are not finite, are refused."""
 
     frame: np.ndarray
     model_index: np.ndarray
@@ -89,6 +88,9 @@ class FeatureColumns:
 
     def __post_init__(self) -> None:
         f = self.frame
+        if not len(f) == len(self.model_index) == len(self.uv) == len(self.score):
+            lengths = [len(f), len(self.model_index), len(self.uv), len(self.score)]
+            raise ValueError(f"columns must be equally long; frame, model_index, uv, score have {lengths} rows")
         if len(f) and f[0] < 0:
             raise ValueError(f"frame numbers must be >= 0, got {f[0]}")
         if len(f) and (f[-1] >= self.n_frames or np.any(f[1:] < f[:-1])):
@@ -210,7 +212,9 @@ def corner_likelihood(image: np.ndarray) -> np.ndarray:
     so only true saddles (both opposite pairs deviating from the local mean in
     opposite directions) respond; edges and single-quadrant corners cancel.
     The likelihood is the maximum response over orientations and polarities,
-    clamped at 0, with the border band (kernel radius) zeroed.
+    clamped at 0, with a border band zeroed wherever :func:`refine_subpixel`
+    cannot refine a peak: the wider of the kernel radius and the refinement
+    radius plus its 1-px gradient margin.
 
     The quadrant means, the image's correlations with the kernels' 1-D
     factors, are computed in row bands across the cores. Each band reads its
@@ -234,10 +238,11 @@ def corner_likelihood(image: np.ndarray) -> np.ndarray:
             np.maximum(band, _saddle_response(*means(pad, v1 - v0, w)), out=band)
 
     _bands.over_rows(len(img), rows)
-    like[:r, :] = 0.0
-    like[-r:, :] = 0.0
-    like[:, :r] = 0.0
-    like[:, -r:] = 0.0
+    edge = max(r, REFINE_RADIUS + 1)
+    like[:edge, :] = 0.0
+    like[-edge:, :] = 0.0
+    like[:, :edge] = 0.0
+    like[:, -edge:] = 0.0
     return like
 
 
@@ -296,7 +301,8 @@ def detect_features(
 
 
 def refine_subpixel(image: np.ndarray, coarse: np.ndarray) -> np.ndarray:
-    """Refine a coarse corner to sub-pixel accuracy via gradient orthogonality.
+    """Refine coarse corners (n, 2) to sub-pixel accuracy via gradient
+    orthogonality, ``_REFINE_BLOCK`` corners at a time; returns (n, 2).
 
     At a checker junction every local gradient g(n) is orthogonal to the
     vector from the true center p to the pixel n, so p minimizes
@@ -304,44 +310,44 @@ def refine_subpixel(image: np.ndarray, coarse: np.ndarray) -> np.ndarray:
     (Σ g gᵀ) p = Σ (g gᵀ) n with 3x3 Sobel gradients over the neighborhood
     of radius ``REFINE_RADIUS``.
 
-    The neighborhood (plus a 1-px gradient margin) must lie inside the image.
-    Results farther than ``REFINE_RADIUS`` from ``coarse`` fall back to the
-    coarse position.
+    A corner keeps its coarse position when its neighborhood (plus a 1-px
+    gradient margin) leaves the image, when the system's condition reaches
+    ``MAX_TENSOR_CONDITION``, or when its solution lies farther than
+    ``REFINE_RADIUS`` from it.
     """
     img = np.asarray(image, dtype=float)
-    c = np.asarray(coarse, dtype=float).reshape(2)
+    out = np.array(coarse, dtype=float).reshape(-1, 2)
     r = REFINE_RADIUS
-    cu, cv = int(round(c[0])), int(round(c[1]))
     h, w = img.shape
-    if not (r + 1 <= cu < w - r - 1 and r + 1 <= cv < h - r - 1):
-        raise ValueError(
-            f"neighborhood of radius {r} (+1 px gradient margin) around ({cu},{cv}) "
-            f"exceeds image bounds {w}x{h}"
-        )
+    cu, cv = np.rint(out).astype(np.intp).T
+    inside = np.flatnonzero((r + 1 <= cu) & (cu < w - r - 1) & (r + 1 <= cv) & (cv < h - r - 1))
+    windows = np.lib.stride_tricks.sliding_window_view(img, (2 * r + 3, 2 * r + 3))
+    offsets = np.arange(-r, r + 1)
 
-    patch = img[cv - r - 1 : cv + r + 2, cu - r - 1 : cu + r + 2]
-    gx, gy = np.zeros((2, 2 * r + 1, 2 * r + 1))
-    # The nonzero taps summed in row-major order from 0: scipy.ndimage's gradients, bit for bit.
-    for g, kernel in ((gx, SOBEL_X), (gy, SOBEL_Y)):
-        for i, j in zip(*np.nonzero(kernel)):
-            g += kernel[i, j] * patch[i : i + 2 * r + 1, j : j + 2 * r + 1]
-    vv, uu = np.mgrid[cv - r : cv + r + 1, cu - r : cu + r + 1].astype(float)
+    def total(x: np.ndarray) -> np.ndarray:  # each patch's sum, as x[i].sum() adds it
+        return x.reshape(len(x), -1).sum(axis=1)
 
-    gxx, gxy, gyy = gx * gx, gx * gy, gy * gy
-    A = np.array([[gxx.sum(), gxy.sum()], [gxy.sum(), gyy.sum()]])
-    b = np.array([(gxx * uu + gxy * vv).sum(), (gxy * uu + gyy * vv).sum()])
+    for a in range(0, len(inside), _REFINE_BLOCK):
+        k = inside[a : a + _REFINE_BLOCK]
+        patch = windows[cv[k] - r - 1, cu[k] - r - 1]
+        gx, gy = np.zeros((2, len(k), 2 * r + 1, 2 * r + 1))
+        # The nonzero taps summed in row-major order from 0: scipy.ndimage's gradients, bit for bit.
+        for g, kernel in ((gx, SOBEL_X), (gy, SOBEL_Y)):
+            for i, j in zip(*np.nonzero(kernel)):
+                g += kernel[i, j] * patch[:, i : i + 2 * r + 1, j : j + 2 * r + 1]
+        uu = (cu[k, None, None] + offsets).astype(float)
+        vv = (cv[k, None, None] + offsets[:, None]).astype(float)
+        gxx, gxy, gyy = gx * gx, gx * gy, gy * gy
+        A = np.stack([total(gxx), total(gxy), total(gxy), total(gyy)], axis=1).reshape(-1, 2, 2)
+        b = np.stack([total(gxx * uu + gxy * vv), total(gxy * uu + gyy * vv)], axis=1)
 
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[0] <= 0 or sv[1] <= 0 or sv[0] / sv[1] >= MAX_TENSOR_CONDITION:
-        raise NoGradientError(
-            f"gradient structure tensor is degenerate around ({cu},{cv}) "
-            f"(singular values {sv[0]:.3e}, {sv[1]:.3e})"
-        )
-    p = np.linalg.solve(A, b)
-    if np.linalg.norm(p - c) > r:
-        logger.debug("refinement at (%d,%d) diverged to %s; keeping coarse", cu, cv, p)
-        return c.copy()
-    return p
+        sv = np.linalg.svd(A, compute_uv=False)
+        ok = np.flatnonzero(sv[:, 1] > 0)  # singular values come largest first
+        ok = ok[sv[ok, 0] / sv[ok, 1] < MAX_TENSOR_CONDITION]
+        p = np.linalg.solve(A[ok], b[ok, :, None])[:, :, 0]
+        near = np.linalg.norm(p - out[k[ok]], axis=1) <= r
+        out[k[ok[near]]] = p[near]
+    return out
 
 
 def match_features(
@@ -384,21 +390,16 @@ def detect_refined(image: np.ndarray) -> list[FeatureObservation]:
     """Detect and sub-pixel-refine all checker junctions in a frame.
 
     The detection threshold is ``THRESHOLD_FRACTION`` of the likelihood map's
-    global maximum. Detections whose refinement neighborhood leaves the image
-    or has degenerate gradients keep their pixel-level position.
+    global maximum. All detections are refined in one :func:`refine_subpixel`
+    call; those it cannot refine keep their pixel-level position.
     """
     like = corner_likelihood(image)
     peak = float(like.max())
     if peak <= 0.0:
         return []
-    out = []
-    for det in detect_features(like, THRESHOLD_FRACTION * peak, NMS_RADIUS):
-        try:
-            pos = refine_subpixel(image, det.position)
-        except (ValueError, NoGradientError):
-            pos = det.position
-        out.append(replace(det, position=pos))
-    return out
+    dets = detect_features(like, THRESHOLD_FRACTION * peak, NMS_RADIUS)
+    pos = refine_subpixel(image, [d.position for d in dets])
+    return [replace(d, position=p) for d, p in zip(dets, pos)]
 
 
 def _match_gate(predictions: np.ndarray) -> float:

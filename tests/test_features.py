@@ -20,7 +20,6 @@ from swaykin import (
     InsufficientCorrespondenceError,
     KinematicParams,
     LatticeMatchError,
-    NoGradientError,
     bootstrap_correspondence,
     camera,
     corner_likelihood,
@@ -36,7 +35,15 @@ from swaykin import (
     render_frame,
 )
 from swaykin import RigidTransform, _bands
-from swaykin.features import KERNEL_RADIUS, SOBEL_X, SOBEL_Y, _axis_means, _cone_means, _quadrant_kernels
+from swaykin.features import (
+    KERNEL_RADIUS,
+    REFINE_RADIUS,
+    SOBEL_X,
+    SOBEL_Y,
+    _axis_means,
+    _cone_means,
+    _quadrant_kernels,
+)
 from swaykin.synth import DEFAULT_INTRINSICS
 
 
@@ -138,7 +145,8 @@ def test_likelihood_equals_eight_response_reference():
         s_neg = np.minimum(mu - lo_ab, lo_cd - mu)
         ref = np.maximum(ref, np.maximum(s_pos, s_neg))
     ref = np.maximum(ref, 0.0)
-    ref[:5, :] = ref[-5:, :] = ref[:, :5] = ref[:, -5:] = 0.0
+    e = max(KERNEL_RADIUS, REFINE_RADIUS + 1)  # as far as refinement reaches
+    ref[:e, :] = ref[-e:, :] = ref[:, :e] = ref[:, -e:] = 0.0
     like = corner_likelihood(img)
     npt.assert_allclose(like, ref, rtol=0, atol=LIKELIHOOD_ATOL)
     _same_peaks(like, ref)
@@ -158,7 +166,8 @@ def test_banded_likelihood_and_peaks_equal_one_band(monkeypatch):
         lo_cd = np.minimum(fc, fd)
         ref = np.maximum(ref, np.maximum(np.minimum(lo_ab - mu, mu - lo_cd), np.minimum(mu - lo_ab, lo_cd - mu)))
     ref = np.maximum(ref, 0.0)
-    ref[:5, :] = ref[-5:, :] = ref[:, :5] = ref[:, -5:] = 0.0
+    e = max(KERNEL_RADIUS, REFINE_RADIUS + 1)  # as far as refinement reaches
+    ref[:e, :] = ref[-e:, :] = ref[:, :e] = ref[:, -e:] = 0.0
     like = corner_likelihood(img)
     npt.assert_allclose(like, ref, rtol=0, atol=LIKELIHOOD_ATOL)
     _same_peaks(like, ref)
@@ -375,31 +384,33 @@ def test_detect_peaks_equal_the_ndimage_maximum_filter(kind):
 
 def test_refine_fractional_saddle():
     img = draw_saddle((200, 200), (100.25, 50.75))
-    p = refine_subpixel(img, np.array([100.0, 51.0]))
+    p = refine_subpixel(img, [[100.0, 51.0]])
     assert np.linalg.norm(p - [100.25, 50.75]) < 0.05
 
 
 def test_refine_integer_saddle_stays_put():
     img = draw_saddle((200, 200), (100.0, 50.0))
-    p = refine_subpixel(img, np.array([100.0, 50.0]))
+    p = refine_subpixel(img, [[100.0, 50.0]])
     assert np.linalg.norm(p - [100.0, 50.0]) < 0.01
 
 
-def test_refine_constant_patch_raises():
-    with pytest.raises(NoGradientError):
-        refine_subpixel(np.full((50, 50), 0.5), np.array([25.0, 25.0]))
+def test_refine_no_corners():
+    assert refine_subpixel(np.full((50, 50), 0.5), np.empty((0, 2))).shape == (0, 2)
 
 
-def test_refine_near_border_raises():
-    img = draw_saddle((50, 50), (4.0, 25.0))
-    with pytest.raises(ValueError):
-        refine_subpixel(img, np.array([4.0, 25.0]))
+def test_refine_constant_patch_keeps_coarse():
+    npt.assert_array_equal(refine_subpixel(np.full((50, 50), 0.5), [[25.3, 24.8]]), [[25.3, 24.8]])
+
+
+def test_refine_near_border_keeps_coarse():
+    img = draw_saddle((50, 50), (4.3, 25.0))
+    npt.assert_array_equal(refine_subpixel(img, [[4.0, 25.0], [25.0, 44.0]]), [[4.0, 25.0], [25.0, 44.0]])
 
 
 def test_refine_invariant_to_affine_intensity():
     img = draw_saddle((200, 200), (80.4, 120.7), angle=0.3)
-    p1 = refine_subpixel(img, np.array([80.0, 121.0]))
-    p2 = refine_subpixel(0.5 * img + 0.25, np.array([80.0, 121.0]))
+    p1 = refine_subpixel(img, [[80.0, 121.0]])
+    p2 = refine_subpixel(0.5 * img + 0.25, [[80.0, 121.0]])
     npt.assert_allclose(p1, p2, atol=1e-6)
 
 
@@ -419,14 +430,14 @@ def test_refine_returns_objective_minimizer():
         center = np.array([60.0, 60.0]) + rng.uniform(-0.5, 0.5, 2)
         img = draw_saddle((120, 120), center, angle=rng.uniform(0, np.pi / 2))
         coarse = np.round(center)
-        p = refine_subpixel(img, coarse)
+        (p,) = refine_subpixel(img, [coarse])
         f0 = _orthogonality_objective(img, coarse, p)
         for du, dv in [(0.1, 0), (-0.1, 0), (0, 0.1), (0, -0.1), (0.1, 0.1), (-0.1, -0.1)]:
             assert f0 <= _orthogonality_objective(img, coarse, p + [du, dv]) + 1e-12
 
 
-def _ndimage_refinement(img, coarse, r=5):
-    """The refiner's closed-form solve from scipy.ndimage's Sobel gradients."""
+def _ndimage_system(img, coarse, r=5):
+    """The refiner's 2x2 system from scipy.ndimage's Sobel gradients."""
     cu, cv = int(round(coarse[0])), int(round(coarse[1]))
     patch = img[cv - r - 1 : cv + r + 2, cu - r - 1 : cu + r + 2]
     gx = ndimage.correlate(patch, SOBEL_X, mode="nearest")[1:-1, 1:-1]
@@ -434,7 +445,12 @@ def _ndimage_refinement(img, coarse, r=5):
     vv, uu = np.mgrid[cv - r : cv + r + 1, cu - r : cu + r + 1].astype(float)
     gxx, gxy, gyy = gx * gx, gx * gy, gy * gy
     A = np.array([[gxx.sum(), gxy.sum()], [gxy.sum(), gyy.sum()]])
-    return np.linalg.solve(A, [(gxx * uu + gxy * vv).sum(), (gxy * uu + gyy * vv).sum()])
+    return A, np.array([(gxx * uu + gxy * vv).sum(), (gxy * uu + gyy * vv).sum()])
+
+
+def _ndimage_refinement(img, coarse, r=5):
+    """The refiner's closed-form solve from scipy.ndimage's Sobel gradients."""
+    return np.linalg.solve(*_ndimage_system(img, coarse, r))
 
 
 def test_refine_equals_the_ndimage_gradients_solve():
@@ -443,7 +459,53 @@ def test_refine_equals_the_ndimage_gradients_solve():
         center = np.array([60.0, 60.0]) + rng.uniform(-0.5, 0.5, 2)
         img = draw_saddle((120, 120), center, angle=rng.uniform(0, np.pi / 2))
         coarse = np.round(center)
-        npt.assert_array_equal(refine_subpixel(img, coarse), _ndimage_refinement(img, coarse))
+        npt.assert_array_equal(refine_subpixel(img, [coarse]), [_ndimage_refinement(img, coarse)])
+
+
+def _one_at_a_time(img, coarse, r=5):
+    """Each corner refined alone with the ndimage system's solve, and why
+    each kept corner was kept: "outside" the image, "degenerate" or "diverged"."""
+    h, w = img.shape
+    out, kept = [], []
+    for c in coarse:
+        cu, cv = np.rint(c).astype(int)
+        p, why = c, "outside"
+        if r + 1 <= cu < w - r - 1 and r + 1 <= cv < h - r - 1:
+            A, b = _ndimage_system(img, c, r)
+            sv = np.linalg.svd(A, compute_uv=False)
+            why = "degenerate"
+            if sv[1] > 0 and sv[0] / sv[1] < 1e8:
+                why = "diverged"
+                q = np.linalg.solve(A, b)
+                if np.linalg.norm(q - c) <= r:
+                    p, why = q, None
+        out.append(p)
+        if why:
+            kept.append(why)
+    return np.array(out), kept
+
+
+def test_refine_batch_equals_its_rows_refined_one_at_a_time():
+    """About 2,500 corners, over two block boundaries, on saddles, noise, a
+    flat field and straight edges, some near and past the image border."""
+    rng = np.random.default_rng(30)
+    img = draw_saddle((240, 320), (60.3, 60.6), angle=0.4, half=40.0)
+    img[:, 160:] = rng.uniform(0.0, 1.0, (240, 160))
+    img[120:, :80] = 0.5
+    img[120:, 80:160] = 0.2 + 0.6 * (np.arange(80) >= 40)
+    coarse = np.column_stack([rng.uniform(-4.0, 324.0, 2500), rng.uniform(-4.0, 244.0, 2500)])
+    coarse[::2] = np.round(coarse[::2])
+    want, kept = _one_at_a_time(img, coarse)
+    npt.assert_array_equal(refine_subpixel(img, coarse), want)
+    assert min(kept.count(k) for k in ("outside", "degenerate", "diverged")) > 50
+    assert len(kept) < 1500  # and most are refined
+
+
+def test_detect_refined_refines_a_junction_near_the_border():
+    """A junction 5.3 px from the edge, within the kernel's reach but not
+    the refinement's, is found one pixel in and refined."""
+    (det,) = detect_refined(draw_saddle((80, 80), (5.3, 40.0)))
+    assert np.linalg.norm(det.position - [5.3, 40.0]) < 0.05
 
 
 def test_detect_refined_grid_accuracy():

@@ -259,6 +259,11 @@ def test_feature_columns_hold_the_rows_in_frame_order(tmp_path):
             FeatureColumns(frame, cols.model_index, cols.uv, cols.score, n_frames)
 
 
+def test_feature_columns_of_unequal_length_are_refused():
+    with pytest.raises(ValueError, match=r"equally long; frame, model_index, uv, score have \[5, 5, 4, 5\] rows"):
+        FeatureColumns(np.array([0, 0, 0, 0, 1]), np.arange(5.0), np.zeros((4, 2)), np.ones(5), 2)
+
+
 # ---------------------------------------------------------------------------
 # pose track CSV
 

@@ -12,7 +12,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg  # noqa: F401  (the smoother imports it lazily; not a cost of the run)
+# Puts scipy.linalg._flapack in sys.modules, where pose._lapack() finds it,
+# so that loading the extension is not a cost of the traced run.
+import scipy.linalg  # noqa: F401
 
 from swaykin import (
     CameraIntrinsics,
@@ -25,6 +27,7 @@ from swaykin import (
     detect_features,
     fileio,
     pose,
+    refine_subpixel,
     synth,
 )
 from swaykin.features import NMS_RADIUS, THRESHOLD_FRACTION, FeatureObservation
@@ -42,6 +45,9 @@ INTR = CameraIntrinsics(fx=4000, fy=4000, x0=1024, y0=1024, k1=-0.08, k2=0.01)
 # is 33.55 MB, and 9.47 MB.
 LIKELIHOOD_PEAK_BYTES = 62_980_000
 PEAKS_PEAK_BYTES = 9_470_000
+# Peak of refining the 8,382 peaks of a noisy mid-grey 2048² frame:
+# measured 9.93 MB, plus 25 %. Refined all at once they peaked at 70 MB.
+REFINE_PEAK_BYTES = 12_410_000
 
 
 def _peak_since(start: int) -> int:
@@ -117,3 +123,20 @@ def test_whole_frame_detector_memory(monkeypatch):
     assert len(peaks) >= 15
     assert likelihood <= LIKELIHOOD_PEAK_BYTES
     assert nms <= PEAKS_PEAK_BYTES
+
+
+def test_refinement_memory_is_bounded_by_its_blocks():
+    # A frame of noise alone, as when the target is out of view: every
+    # peak above the threshold is refined, though none is a junction.
+    frame = 0.5 + np.random.default_rng(3).normal(0.0, 0.02, (2048, 2048))
+    like = corner_likelihood(frame)
+    coarse = [p.position for p in detect_features(like, THRESHOLD_FRACTION * float(like.max()), NMS_RADIUS)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        refine_subpixel(frame, coarse)
+        refinement = _peak_since(start)
+    finally:
+        tracemalloc.stop()
+    assert len(coarse) > 8000
+    assert refinement <= REFINE_PEAK_BYTES
