@@ -155,7 +155,7 @@ def undistort_normalized(intrinsics: CameraIntrinsics, points: np.ndarray) -> np
             if not np.all(np.isfinite(step)):
                 raise DistortionInversionError("undistortion diverged (non-finite iterate)")
             p = p + step
-            if np.max(np.abs(step)) < UNDISTORT_TOL:
+            if np.all(np.abs(step) < UNDISTORT_TOL):
                 return p
     worst = float(np.max(np.abs(pd - distort_normalized(intrinsics, p))))
     raise DistortionInversionError(

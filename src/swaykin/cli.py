@@ -312,7 +312,7 @@ def _ingest_features_csv(path: Path, intr: camera.CameraIntrinsics) -> features.
     """Read a feature CSV into columns and undistort its positions, the
     whole recording in one call."""
     cols = _load_data(fileio.load_feature_columns, path, "features")
-    if not intr.has_distortion or not len(cols.uv):
+    if not intr.has_distortion:
         return cols
     return dataclasses.replace(cols, uv=camera.undistort_point(intr, cols.uv))
 

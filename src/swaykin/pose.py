@@ -2,9 +2,9 @@
 
 The kinematic state is six parameters: three Z-Y-X Euler angles (radians)
 followed by three camera-frame translations (millimeters). Each frame is
-fitted by a damped Levenberg-Marquardt loop on its reprojection residuals,
-warm-started from the previous frame. :func:`track_sequence` fits a run's
-frames in lock-step and settles them against that warm-started chain, then
+fitted by a damped Levenberg-Marquardt loop on its reprojection residuals.
+:func:`track_sequence` fits a run's frames in two lock-step passes, the
+second starting each frame from the first's pose of the frame before, then
 smooths the whole run with an iterated Rauch-Tung-Striebel smoother under a
 white-jerk prior on each parameter, so the poses it reports use every frame's
 information, not only their own. Every solver runs one Levenberg-Marquardt
@@ -774,10 +774,6 @@ def _gauss_newton_step(
 # Frames per block of track_sequence's lock-step passes, which bounds their
 # memory whatever the run's length.
 _FIT_BLOCK = 1024
-# Two fits of a frame are one minimum when the Gauss-Newton cost of the step
-# between them is at most this multiple of _COST_TOL times the frame's cost:
-# a few times what the cost-decrease rule leaves of it.
-_SAME_MINIMUM = 10.0
 
 
 def _fit_blocks(
@@ -796,62 +792,6 @@ def _fit_blocks(
     return out
 
 
-def _one_minimum(
-    a: np.ndarray, b: np.ndarray, run: np.ndarray, stack: tuple[np.ndarray, np.ndarray, np.ndarray],
-    intrinsics: camera.CameraIntrinsics,
-) -> np.ndarray:
-    """Whether poses ``a`` and ``b`` (n, 6) of the frames ``run`` (n,) of
-    ``stack`` are one minimum of each frame's cost (see ``_SAME_MINIMUM``),
-    from the Gauss-Newton model at ``a``. The test is scale-free: it weighs
-    the step by the frame's own information, in units of its own cost."""
-    same = np.empty(len(run), dtype=bool)
-    for s in range(0, len(run), _FIT_BLOCK):
-        block = slice(s, s + _FIT_BLOCK)
-        th = a[block]
-        r, J = _linearize(th, tuple(x[run[block]] for x in stack), intrinsics)
-        step = J @ (b[block] - th)[..., None]
-        same[block] = np.sum(step[..., 0] ** 2, axis=1) <= _SAME_MINIMUM * _COST_TOL * np.sum(r**2, axis=1)
-    return same
-
-
-def _chain_fits(
-    start: np.ndarray, run: np.ndarray, stack: tuple[np.ndarray, np.ndarray, np.ndarray],
-    intrinsics: camera.CameraIntrinsics,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The warm-started chain's fits of the frames ``run`` (n,) of ``stack``,
-    in lock-step: the first frame's from pose ``start``, and each later
-    frame's from the kept pose of the last fitted frame before it.
-
-    Pass 1 fits every frame from ``start``. Each later round refits, all at
-    once, every frame whose start is not the chain's start for it, until none
-    is left; the first round is pass 2, from the predecessors' pass-1 poses. A
-    frame whose fit and pass-1 fit converged to one minimum keeps its pass-1
-    pose, from which its successor's pass-2 fit started, so a round refits
-    only the frames after one whose minimum differs from pass 1's: on sparse
-    frames, the other branch of the planar pose ambiguity. The first frame
-    that a round refits starts from its predecessor's final pose, so each
-    round settles at least one more frame, and each fit is the one that a
-    sequential loop makes from the same start. Returns per frame the kept
-    pose, the iterations and convergence of the fit from the chain's start,
-    and whether that start was accepted; a frame whose start is refused is a
-    gap, and the next starts from the last fitted frame.
-    """
-    n = len(run)
-    starts = np.broadcast_to(start, (n, 6)).copy()
-    first = _fit_blocks(starts, run, stack, intrinsics)
-    kept, iterations, converged, fitted = (x.copy() for x in first)
-    while True:
-        last = np.maximum.accumulate(np.where(fitted, np.arange(n), 0))
-        want = np.vstack([start, kept[last[:-1]]])
-        redo = np.flatnonzero(np.any(want != starts, axis=1))
-        if not len(redo):
-            return kept, iterations, converged, fitted
-        starts[redo] = want[redo]
-        th, iterations[redo], converged[redo], fitted[redo] = _fit_blocks(starts[redo], run[redo], stack, intrinsics)
-        alike = converged[redo] & first[2][redo] & _one_minimum(th, first[0][redo], run[redo], stack, intrinsics)
-        kept[redo] = np.where(alike[:, None], first[0][redo], th)
-
-
 def track_sequence(
     frames: Sequence[Sequence[FeatureObservation]] | FeatureColumns,
     model: "GeometricTargetModel",
@@ -860,14 +800,12 @@ def track_sequence(
 ) -> PoseTrack:
     """Fit every frame of a sequence, then smooth the poses over the run.
 
-    The per-frame fits are those of a warm-started chain: the first
-    fittable frame starts from its closed-form pose, and each later frame
-    from the kept pose of the last fitted frame before it. They are computed
-    in lock-step by :func:`_chain_fits`: one pass over every frame from the
-    first frame's pose, then rounds that refit each frame whose start was not
-    its chain start. A frame keeps its pass-1 pose where its chain fit reached
-    the same minimum. Frames with fewer than 4 matched observations (or where
-    initialization fails, or whose chain start is refused) get status
+    The per-frame fits are made in two lock-step passes. Pass 1 fits every
+    frame from the first fittable frame's closed-form pose. Pass 2 fits that
+    frame from the same pose again, and each later frame from the pass-1
+    pose of the last earlier frame whose pass-1 start was accepted; its fits
+    are the ones kept. Frames with fewer than 4 matched observations (or where
+    initialization fails, or whose pass-2 start is refused) get status
     ``gap`` and no report, and stay gaps; the frames that fail are named in
     one warning. Raises :class:`TrackingError` if nothing fits. ``frames``
     are per-frame lists or the run's :class:`FeatureColumns`; the lists are
@@ -913,8 +851,8 @@ def track_sequence(
     fitted: list[int] = []
     failed: list[int] = []
     fittable = np.flatnonzero(sizes >= MIN_OBSERVATIONS).tolist()
-    # The chain starts at the first frame whose closed-form pose can start its
-    # fit; the frames before it are gaps.
+    # The passes start at the first frame whose closed-form pose can start
+    # its fit; the frames before it are gaps.
     while fittable:
         i = fittable[0]
         try:
@@ -927,8 +865,12 @@ def track_sequence(
         failed.append(fittable.pop(0))
     if fittable:
         run = np.array(fittable)
-        # Each fitted frame's kept pose, iterations and whether it converged.
-        theta, iterations, converged, ok = _chain_fits(start, run, stack, intrinsics)
+        # The two passes of the docstring. The first frame's start was accepted
+        # above, so every later frame has a predecessor fitted in pass 1.
+        first, _, _, ok = _fit_blocks(np.broadcast_to(start, (len(run), 6)), run, stack, intrinsics)
+        last = np.maximum.accumulate(np.where(ok, np.arange(len(run)), 0))
+        starts = np.vstack([start, first[last[:-1]]])
+        theta, iterations, converged, ok = _fit_blocks(starts, run, stack, intrinsics)
         theta, iterations, converged = theta[ok], iterations[ok], converged[ok]
         fitted = run[ok].tolist()
         failed += run[~ok].tolist()

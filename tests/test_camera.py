@@ -132,6 +132,12 @@ def test_undistort_distort_roundtrip_grid():
     assert np.max(np.abs(back - grid)) < 1e-6
 
 
+def test_undistort_and_distort_point_take_no_points():
+    intr = CameraIntrinsics(fx=1000, fy=1000, x0=640, y0=512, k1=0.05)
+    for f in (undistort_point, distort_point):
+        assert f(intr, np.empty((0, 2))).shape == (0, 2)
+
+
 def test_distortion_is_radially_symmetric():
     # distortion commutes with rotation about the distortion center
     intr = CameraIntrinsics(fx=1000, fy=1000, x0=640, y0=512, k1=0.08, k2=-0.03)

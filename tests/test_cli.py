@@ -612,6 +612,30 @@ def test_analyze_compare_effect_sizes(tmp_path):
     assert table[("AP", "early")] == pytest.approx(expect, abs=1e-12)
 
 
+def test_analyze_compare_swapped_negates_every_d(tmp_path):
+    # Three subjects against four: swapping the directories swaps n_a and
+    # n_b and negates every d, bit for bit.
+    rng = np.random.default_rng(92)
+    dirs = {}
+    for cond, (scale, n) in (("a", (1.0, 3)), ("b", (1.5, 4))):
+        dirs[cond] = tmp_path / cond
+        dirs[cond].mkdir()
+        for k in range(n):
+            ap, ml, si = (np.cumsum(rng.normal(0, scale, 1800)) for _ in range(3))
+            _write_traj(dirs[cond] / f"trajectory_p{k}.csv", ap, ml=ml, si=si, rate=30.0, label=f"p{k}")
+    tables = []
+    for first, second in (("a", "b"), ("b", "a")):
+        out = tmp_path / f"out_{first}"
+        assert main(["analyze", "--traj", str(dirs[first]), "--compare", str(dirs[second]), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "cohens_d.csv").read_text().splitlines()[1:]]
+        tables.append({(direction, b): (float(d), n_a, n_b) for direction, b, d, n_a, n_b in rows})
+    forward, backward = tables
+    assert len(forward) == 6 * 3 and forward.keys() == backward.keys()
+    for cell, (d, n_a, n_b) in forward.items():
+        assert (n_a, n_b) == ("3", "4") and d != 0.0
+        assert backward[cell] == (-d, n_b, n_a)
+
+
 def test_analyze_compare_writes_cohens_d_csv_bytes(tmp_path):
     # Each subject moves `step` mm along every axis per sample: at 2 Hz and
     # bins of 1 s, a path length is 2 (1 in the last bin) steps' length.
