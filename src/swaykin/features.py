@@ -404,8 +404,6 @@ def detect_refined(image: np.ndarray) -> list[FeatureObservation]:
 
 def _match_gate(predictions: np.ndarray) -> float:
     """Largest frame-to-frame motion (px) that gating to ``predictions`` accepts."""
-    if len(predictions) < 2:
-        return 20.0
     d = np.linalg.norm(predictions[:, None] - predictions[None, :], axis=2)
     np.fill_diagonal(d, np.inf)
     return max(5.0, 0.4 * float(d.min()))
@@ -419,61 +417,60 @@ def detect_sequence(
     """Detect and assign model correspondence frame by frame.
 
     ``frames`` yields ``(name, raw image)`` pairs, float in [0, 1] or uint8
-    taken as value / 255. Positions are undistorted pixels. A frame that
-    gives the whole model is measured only in a window: the bounding box of
-    an anchor (one position per model feature) widened by the match gate
-    plus the reach of the detector (kernel, non-maximum and refinement
-    radii, and the gradient margin), undistorted with
-    :func:`camera.undistort_frame` and detected with :func:`detect_refined`.
-    A feature that moved no farther than the gate then sees the same pixels
-    as on the whole undistorted image; only the detection threshold is taken
-    relative to the window's strongest response. The window's result is kept
-    when its detections bootstrap to the whole model and each lies within
-    the gate of its anchor position.
+    taken as value / 255. Positions are undistorted pixels, and every one is
+    measured in a window: the bounding box of one position per model feature
+    widened by the match gate plus the reach of the detector (kernel,
+    non-maximum and refinement radii, and the gradient margin), undistorted
+    with :func:`camera.undistort_frame` and detected with
+    :func:`detect_refined`. A feature that moved no farther than the gate
+    sees the same pixels there as on the whole undistorted image; only the
+    detection threshold is taken relative to the window's strongest
+    response. The window's detections scoring at least
+    ``THRESHOLD_FRACTION`` of the weakest of those positions' scores are
+    matched to them with :func:`match_features`.
 
-    The anchor is the last frame's positions if it matched every feature.
-    Without one, or when its window fails, the target is acquired on the raw
-    frame: the detector runs on its ``COARSE_BLOCK``-square block means,
-    then on the frame itself, and the first detections whose undistorted
-    block centres bootstrap to the whole model anchor a window. When every
-    window fails, the frame's own detections scoring at least
-    ``THRESHOLD_FRACTION`` of the weakest last-known feature, undistorted as
-    points, are gated to each feature's last position, which tolerates
-    missed detections. Frames that fail every route become empty (tracking
-    gaps), reported in one warning at the end. A model that bootstrapping
-    cannot use raises :class:`LatticeMatchError` before the first frame is
-    read.
+    Tracking: once the target is acquired, each frame is measured in the
+    window about the last observation of every model feature, and kept when
+    every feature matches. Acquisition, on the first frame and whenever
+    tracking does not match the whole model: the detector runs on the raw
+    frame's ``COARSE_BLOCK``-square block means, then on the frame itself,
+    and the first detections whose undistorted block centres bootstrap to
+    the whole model place a window that must match the whole model. When
+    acquisition fails too, the tracking window's match is kept if it holds
+    at least ``MIN_OBSERVATIONS`` features (a partial view). Frames that
+    fail every route become empty (tracking gaps), reported in one warning
+    at the end; the next frame is again tracked from the last observations
+    first. A model that bootstrapping cannot use raises
+    :class:`LatticeMatchError` before the first frame is read.
     """
     mp = np.asarray(model_points, dtype=float)
     _model_grid(mp)
     reach = KERNEL_RADIUS + NMS_RADIUS + REFINE_RADIUS + 1
 
-    def in_window(image: np.ndarray, anchor: np.ndarray | None) -> list[FeatureObservation]:
-        """The whole model in the window about ``anchor``, each feature within the gate of it; else []."""
-        if anchor is None:
-            return []
-        gate = _match_gate(anchor)
+    def in_window(image: np.ndarray, last: list[FeatureObservation]) -> list[FeatureObservation]:
+        """The window's detections about ``last``, one observation per model feature,
+        matched to it; [] below ``MIN_OBSERVATIONS`` matches."""
+        pred = np.stack([o.position for o in last])
+        gate = _match_gate(pred)
         h, w = np.shape(image)
-        lo = np.floor(anchor.min(axis=0) - gate) - reach
-        hi = np.ceil(anchor.max(axis=0) + gate) + reach + 1
+        lo = np.floor(pred.min(axis=0) - gate) - reach
+        hi = np.ceil(pred.max(axis=0) + gate) + reach + 1
         window = (
             int(max(lo[0], 0)), int(max(lo[1], 0)), int(min(hi[0], w)), int(min(hi[1], h))
         )
+        floor = THRESHOLD_FRACTION * min(o.score for o in last)
         dets = detect_refined(camera.undistort_frame(intrinsics, image, window))
         try:
-            near = bootstrap_correspondence([replace(d, position=d.position + window[:2]) for d in dets], mp)
-        except (LatticeMatchError, InsufficientCorrespondenceError):
+            return match_features(
+                [replace(d, position=d.position + window[:2]) for d in dets if d.score >= floor], pred, gate
+            )
+        except InsufficientCorrespondenceError:
             return []
-        # Bootstrap returns every feature in model order, as the anchor holds them.
-        moved = [np.linalg.norm(m.position - a) for m, a in zip(near, anchor)]
-        return near if max(moved) <= gate else []
 
     def acquire(image: np.ndarray) -> list[FeatureObservation]:
-        """The whole model in a window placed by raw-frame detections, else
-        the frame's detections gated to the last positions; else []."""
+        """The whole model in a window placed by raw-frame detections; else []."""
         img = np.asarray(image)
-        scale = 255.0 if img.dtype == np.uint8 else 1.0  # value / 255: scores in one unit on every route
-        dets: list[FeatureObservation] = []
+        scale = 255.0 if img.dtype == np.uint8 else 1.0  # value / 255: scores in the window's unit
         for b in (COARSE_BLOCK, 1):
             h, w = (n // b for n in img.shape)
             if min(h, w) < KERNEL_SIZE:
@@ -487,33 +484,25 @@ def detect_sequence(
                 found = bootstrap_correspondence(dets, mp)
             except (LatticeMatchError, InsufficientCorrespondenceError):
                 continue
-            matched = in_window(image, np.stack([m.position for m in found]))
-            if matched:
+            matched = in_window(image, found)
+            if len(matched) == len(mp):
                 return matched
-        # dets now holds the raw frame's own (b = 1) detections, if any.
-        if not last_pos:
-            return []
-        idxs = sorted(last_pos)
-        floor = THRESHOLD_FRACTION * min(last_pos[i].score for i in idxs)
-        pred = np.stack([last_pos[i].position for i in idxs])
-        try:
-            near = match_features([d for d in dets if d.score >= floor], pred, _match_gate(pred))
-        except InsufficientCorrespondenceError:
-            return []
-        return [replace(m, model_index=idxs[m.model_index]) for m in near]
+        return []
 
     out: list[list[FeatureObservation]] = []
     gaps: list[str] = []
-    last_pos: dict[int, FeatureObservation] = {}
-    anchor = None  # positions of the last frame that matched every feature
+    last: list[FeatureObservation] = []  # the last observation of each model feature, once acquired
     for name, image in frames:
-        matched = in_window(image, anchor) or acquire(image)
+        near = in_window(image, last) if last else []
+        matched = near if len(near) == len(mp) else (acquire(image) or near)
         if not matched:
             logger.debug("%s: no usable correspondence; gap", name)
             gaps.append(name)
-        for m in matched:
-            last_pos[m.model_index] = m
-        anchor = np.stack([m.position for m in matched]) if len(matched) == len(mp) else None
+        elif len(matched) == len(mp):
+            last = list(matched)
+        else:  # a partial view, tracked from a whole model
+            for m in matched:
+                last[m.model_index] = m
         out.append(matched)
     if gaps:
         logger.warning(

@@ -34,7 +34,7 @@ from swaykin import (
     refine_subpixel,
     render_frame,
 )
-from swaykin import RigidTransform, _bands
+from swaykin import RigidTransform, _bands, features
 from swaykin.features import (
     KERNEL_RADIUS,
     REFINE_RADIUS,
@@ -694,10 +694,20 @@ def test_sequence_window_matches_full_frame_detection(monkeypatch):
     motion = [(0, 0), (7, 0), (7, -7), (0, -7), (-7, -7), (-7, 0), (0, 0), (1.5, -1.0), (2.5, 0.5)]
     imgs = [_seq_frame(du, dv, seed=k) for k, (du, dv) in enumerate(motion)]
     windows = _windows_used(monkeypatch)
+    bootstraps = []
+    original = features.bootstrap_correspondence
+
+    def spy(detections, model_points):
+        bootstraps.append(len(detections))
+        return original(detections, model_points)
+
+    monkeypatch.setattr(features, "bootstrap_correspondence", spy)
     out = detect_sequence(((f"f{k}", img) for k, img in enumerate(imgs)), SEQ_MODEL.points, SEQ_INTR)
     assert len(out) == len(imgs)
-    # Acquired by the coarse pass in a window, then every frame stays in its window.
+    # Acquired by the coarse pass in a window, then every frame stays in its window,
+    # matched to the last observations without bootstrapping.
     assert len(windows) == len(imgs)
+    assert len(bootstraps) == 1
     for w in windows:
         assert w is not None and (w[2] - w[0]) * (w[3] - w[1]) < 0.5 * 320 * 320
     for got, img in zip(out, imgs):
@@ -764,7 +774,8 @@ def test_sequence_close_junctions_acquired_on_the_whole_frame(monkeypatch):
 
 def test_sequence_partial_view_gated_to_the_last_positions(monkeypatch):
     # The bench's lens on a 2048^2 uint8 frame; the second frame hides the target's
-    # right-most junction column, so no route bootstraps and the 11 others are gated.
+    # right-most junction column, so acquisition fails and the window's matches of
+    # the 11 others to their last positions are kept.
     intr = CameraIntrinsics(fx=4000.0, fy=4000.0, x0=1024.0, y0=1024.0, k1=-0.08, k2=0.01)
     theta = KinematicParams(0.01, -0.02, 0.015, -30.0, -30.0, 1000.0)
     img = render_frame(theta, SEQ_MODEL, intrinsics=intr, image_size=(2048, 2048))
@@ -786,6 +797,24 @@ def test_sequence_partial_view_gated_to_the_last_positions(monkeypatch):
     assert [o.model_index for o in out[1]] == np.flatnonzero(~right).tolist()
     truth = project(intr, pose, SEQ_MODEL.points[~right])
     npt.assert_allclose([o.position for o in out[1]], truth, rtol=0, atol=0.1)
+
+
+def test_sequence_partial_view_measured_in_the_window():
+    # From frame 1 the right-most junction column is hidden, so acquisition fails;
+    # the 11 others are measured as on the whole undistorted frame.
+    M = motion_matrix(KinematicParams(0.01, -0.02, 0.015, -30.0, -30.0, 1000.0))
+    right = SEQ_MODEL.points[:, 0] == SEQ_MODEL.points[:, 0].max()
+    u = project(SEQ_INTR, RigidTransform(M[:3, :3], M[:3, 3]), SEQ_MODEL.points[right], apply_distortion=True)[:, 0]
+    imgs = [_seq_frame(du, dv, seed=k) for k, (du, dv) in enumerate([(0.0, 0.0), (1.0, 0.5), (0.5, -1.0)])]
+    for img in imgs[1:]:
+        img[:, int(u.min()) - 20 : int(u.max()) + 21] = 0.5
+    out = detect_sequence(((f"f{k}", img) for k, img in enumerate(imgs)), SEQ_MODEL.points, SEQ_INTR)
+    assert len(out[0]) == len(SEQ_MODEL.points)
+    for got, img in zip(out[1:], imgs[1:]):
+        assert [o.model_index for o in got] == np.flatnonzero(~right).tolist()
+        ref = np.stack([d.position for d in detect_refined(camera.undistort_frame(SEQ_INTR, img))])
+        for o in got:
+            assert np.linalg.norm(ref - o.position, axis=1).min() <= 1e-9
 
 
 def test_sequence_uint8_frames_give_the_float_frames_observations():
